@@ -86,6 +86,33 @@ let wbar t ~channel u v =
     | Per_channel gs -> if Graph.mem_edge gs.(channel) u v then 1.0 else 0.0
     | Per_channel_weighted wgs -> Weighted.wbar wgs.(channel) u v
 
+(* Every u ≠ v with w̄_j(u,v) > 0 on some channel j and [keep u], in
+   ascending id.  Unweighted and edge-weighted conflicts walk their sparse
+   neighbour lists; per-channel conflicts scan all vertices and test each
+   channel. *)
+let iter_neighbours t v keep f =
+  match t.conflict with
+  | Unweighted g -> Graph.iter_neighbors g v (fun u -> if keep u then f u)
+  | Edge_weighted wg -> Weighted.iter_wbar wg v (fun u _ -> if keep u then f u)
+  | Per_channel gs ->
+      let rec any j u = j < t.k && (Graph.mem_edge gs.(j) u v || any (j + 1) u) in
+      for u = 0 to n t - 1 do
+        if u <> v && keep u && any 0 u then f u
+      done
+  | Per_channel_weighted wgs ->
+      let rec any j u = j < t.k && (Weighted.wbar wgs.(j) u v > 0.0 || any (j + 1) u) in
+      for u = 0 to n t - 1 do
+        if u <> v && keep u && any 0 u then f u
+      done
+
+let iter_backward t v f =
+  let pi = t.ordering in
+  iter_neighbours t v (fun u -> Ordering.precedes pi u v) f
+
+let iter_forward t v f =
+  let pi = t.ordering in
+  iter_neighbours t v (fun u -> Ordering.precedes pi v u) f
+
 let is_asymmetric t =
   match t.conflict with
   | Per_channel _ | Per_channel_weighted _ -> true

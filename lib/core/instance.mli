@@ -56,6 +56,18 @@ val wbar : t -> channel:int -> int -> int -> float
     1/0 for unweighted graphs, [w̄] for edge-weighted ones, and the
     channel's own graph for [Per_channel]. *)
 
+val iter_backward : t -> int -> (int -> unit) -> unit
+(** [iter_backward t v f] calls [f u] for every [u ≠ v] with [π(u) < π(v)]
+    and [w̄_j(u,v) > 0] on at least one channel [j] — the backward
+    neighbourhood Γπ(v) that the interference row of [v] sums over —
+    in ascending id, with no allocation per neighbour.  Cost: [O(deg v)] for
+    [Unweighted] and sparse [Edge_weighted] conflicts, [O(n)] for dense
+    edge-weighted ones, [O(n·k)] for the per-channel kinds.  Callers that
+    need one channel still test [wbar t ~channel u v > 0]. *)
+
+val iter_forward : t -> int -> (int -> unit) -> unit
+(** As {!iter_backward} for the vertices [u] with [π(u) > π(v)]. *)
+
 val is_asymmetric : t -> bool
 
 val independent_on_channel : t -> channel:int -> int list -> bool

@@ -28,10 +28,25 @@ val of_allocation : Instance.t -> Allocation.t -> fractional
 (** The integral LP point of Lemma 1 (x_{v,S(v)} = 1). *)
 
 val is_lp_feasible : ?eps:float -> Instance.t -> fractional -> bool
-(** Checks (1b)/(3b), (1c) and non-negativity against the instance's ρ. *)
+(** Checks (1b)/(3b), (1c) and non-negativity against the instance's ρ.
+    The interference masses are pushed along each column's
+    {!Instance.iter_forward} neighbourhood, so the check costs
+    [O(n·k + nnz)] rather than a scan of every column per row. *)
 
 val fractional_value_of_bidder : Instance.t -> fractional -> int -> float
 (** [Σ_T b_{v,T}·x_{v,T}]. *)
+
+val stage :
+  ?zeroed:int list -> Instance.t -> Sa_lp.Model.t * (int * Sa_val.Bundle.t) array
+(** The explicit LP as a {!Sa_lp.Model}, with the (bidder, bundle) pair of
+    every variable (indexed by variable handle).  Variables run bidder-major
+    in {!Sa_val.Valuation.support} order (bundles outside the bidder's
+    availability mask dropped); rows are the unit-mass rows of bidders that
+    have columns, then every non-empty interference row (v, j) in
+    lexicographic order.  Row (v, j) is gathered from the columns of
+    {!Instance.iter_backward} [v], so staging costs [O(n·k + nnz)] rather
+    than a scan of every column per (vertex, channel).  [zeroed] as in
+    {!solve_explicit}. *)
 
 val solve_explicit :
   ?engine:Sa_lp.Model.engine -> ?zeroed:int list -> Instance.t -> fractional

@@ -1,6 +1,5 @@
 module Bundle = Sa_val.Bundle
 module Valuation = Sa_val.Valuation
-module Ordering = Sa_graph.Ordering
 module Model = Sa_lp.Model
 module Simplex = Sa_lp.Simplex
 module Tel = Sa_telemetry.Metrics
@@ -126,18 +125,16 @@ module Column_pool = struct
 end
 
 (* Raw Section-3.1 price sums, before clamping and availability deterrents:
-   p_raw(v,j) = Σ_{u ≻ v} w̄_j(u,v) · y(u,j), accumulated with u ascending.
-   The incremental path recomputes stale entries with this exact function,
-   so its results are bitwise identical to a full naive recompute. *)
+   p_raw(v,j) = Σ_{u ≻ v} w̄_j(u,v) · y(u,j), accumulated over v's forward
+   neighbours in ascending id — the order of a scan over every u, so the
+   sums are bitwise those of that scan.  The incremental path recomputes
+   stale entries with this exact function, so its results are bitwise
+   identical to a full naive recompute. *)
 let raw_price inst ~y ~bidder ~channel =
-  let pi = inst.Instance.ordering in
   let acc = ref 0.0 in
-  for u = 0 to Instance.n inst - 1 do
-    if u <> bidder && Ordering.precedes pi bidder u then begin
+  Instance.iter_forward inst bidder (fun u ->
       let w = Instance.wbar inst ~channel u bidder in
-      if w > 0.0 then acc := !acc +. (w *. y u channel)
-    end
-  done;
+      if w > 0.0 then acc := !acc +. (w *. y u channel));
   !acc
 
 (* Clamp numerical noise and price unavailable channels prohibitively.  The
@@ -157,12 +154,12 @@ let default_deterrent inst ~bidder () =
   (2.0 *. Valuation.max_value inst.Instance.bidders.(bidder) ~k:inst.Instance.k)
   +. 1.0
 
+let raw_prices inst ~y ~bidder =
+  Array.init inst.Instance.k (fun channel -> raw_price inst ~y ~bidder ~channel)
+
 let prices_for inst ~y ~bidder =
-  let k = inst.Instance.k in
-  let prices =
-    Array.init k (fun channel -> raw_price inst ~y ~bidder ~channel)
-  in
-  finish_prices inst ~bidder ~deterrent:(default_deterrent inst ~bidder) prices
+  finish_prices inst ~bidder ~deterrent:(default_deterrent inst ~bidder)
+    (raw_prices inst ~y ~bidder)
 
 (* Incremental dual-price state: the n×k table of raw sums plus the duals
    it was computed from.  After a master re-solve, only the (v,j) entries
@@ -183,21 +180,16 @@ let price_state_create n k =
 let price_state_update inst st ~y =
   let n = Instance.n inst in
   let k = inst.Instance.k in
-  let pi = inst.Instance.ordering in
-  (* mark (v,j) dirty for every v preceding a u whose y(u,j) changed *)
+  (* mark (v,j) dirty for every neighbour v preceding a u whose y(u,j)
+     changed *)
   for u = 0 to n - 1 do
     for j = 0 to k - 1 do
       let yu = y u j in
       if yu <> st.y_prev.(u).(j) then begin
         st.y_prev.(u).(j) <- yu;
-        for v = 0 to n - 1 do
-          if
-            v <> u
-            && Ordering.precedes pi v u
-            && (not st.dirty.(v).(j))
-            && Instance.wbar inst ~channel:j u v > 0.0
-          then st.dirty.(v).(j) <- true
-        done
+        Instance.iter_backward inst u (fun v ->
+            if (not st.dirty.(v).(j)) && Instance.wbar inst ~channel:j u v > 0.0
+            then st.dirty.(v).(j) <- true)
       end
     done
   done;
@@ -232,7 +224,6 @@ let solve ?(max_rounds = 200) ?(eps = Sa_lp.Tol.feas_eps)
   check_deadline ();
   let n = Instance.n inst in
   let k = inst.Instance.k in
-  let pi = inst.Instance.ordering in
   let m = Model.create Simplex.Maximize in
   (* Fixed row structure. *)
   let unit_row = Array.init n (fun _ -> Model.add_row m [] Simplex.Le 1.0) in
@@ -254,16 +245,14 @@ let solve ?(max_rounds = 200) ?(eps = Sa_lp.Tol.feas_eps)
       let value = Valuation.value inst.Instance.bidders.(v) bundle in
       let var = Model.add_var m ~obj:value in
       Model.add_to_row m unit_row.(v) var 1.0;
-      (* The column appears in the interference row of every later vertex
-         for every channel it contains. *)
-      for v' = 0 to n - 1 do
-        if v' <> v && Ordering.precedes pi v v' then
+      (* The column appears in the interference row of every later
+         neighbour for every channel it contains. *)
+      Instance.iter_forward inst v (fun v' ->
           Bundle.iter
             (fun j ->
               let w = Instance.wbar inst ~channel:j v v' in
               if w > 0.0 then Model.add_to_row m intf_row.(v').(j) var w)
-            bundle
-      done;
+            bundle);
       columns := (v, bundle, var) :: !columns;
       Tel.incr m_columns;
       true
@@ -289,7 +278,7 @@ let solve ?(max_rounds = 200) ?(eps = Sa_lp.Tol.feas_eps)
         let raw =
           match price_st with
           | Some st -> Array.copy st.raw.(v)
-          | None -> Array.init k (fun channel -> raw_price inst ~y ~bidder:v ~channel)
+          | None -> raw_prices inst ~y ~bidder:v
         in
         finish_prices inst ~bidder:v ~deterrent:(deterrent v) raw)
   in

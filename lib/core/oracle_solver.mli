@@ -122,6 +122,13 @@ val solve :
     on its donor's column set reproduces the donor's certified objective
     bitwise. *)
 
+val raw_prices :
+  Instance.t -> y:(int -> int -> float) -> bidder:int -> float array
+(** The raw Section-3.1 sums [Σ_{u: π(u) > π(v)} w̄_j(u,v)·y(u,j)] for
+    every channel [j] of [bidder], before clamping and availability
+    deterrents.  Each sum runs over {!Instance.iter_forward} in ascending
+    id — exposed for tests. *)
+
 val prices_for :
   Instance.t -> y:(int -> int -> float) -> bidder:int -> float array
 (** The Section-3.1 bidder-specific prices from interference duals

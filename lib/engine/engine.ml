@@ -127,12 +127,7 @@ type result = {
 
 (* -------------------------------- caches -------------------------------- *)
 
-type topology = {
-  ordering : Ordering.t;
-  rho : float;
-  backward : int list array;
-      (* per-vertex backward neighbourhoods under [ordering] *)
-}
+type topology = { ordering : Ordering.t; rho : float }
 
 type t = {
   warm_start : bool;
@@ -181,11 +176,6 @@ let union_graph gs =
   Array.iter (fun gj -> Graph.iter_edges gj (fun u v -> Graph.add_edge g u v)) gs;
   g
 
-let weighted_backward wg pi =
-  let n = Weighted.n wg in
-  Array.init n (fun v ->
-      Ordering.before pi v |> List.filter (fun u -> Weighted.wbar wg u v > 0.0))
-
 let compute_topology conflict =
   match conflict with
   | Instance.Unweighted g ->
@@ -195,12 +185,11 @@ let compute_topology conflict =
           (float_of_int (max 1 degeneracy))
           (Inductive.rho_unweighted ~node_limit:rho_node_limit g pi).Inductive.rho
       in
-      let backward = Array.init (Graph.n g) (Ordering.backward_neighbors pi g) in
-      { ordering = pi; rho = Float.max 1.0 rho; backward }
+      { ordering = pi; rho = Float.max 1.0 rho }
   | Instance.Edge_weighted wg ->
       let pi = Ordering.identity (Weighted.n wg) in
       let rho = (Inductive.rho_weighted ~node_limit:rho_node_limit wg pi).Inductive.rho in
-      { ordering = pi; rho = Float.max 1.0 rho; backward = weighted_backward wg pi }
+      { ordering = pi; rho = Float.max 1.0 rho }
   | Instance.Per_channel gs ->
       let union = union_graph gs in
       let pi, _ = Inductive.degeneracy_ordering union in
@@ -211,8 +200,7 @@ let compute_topology conflict =
               (Inductive.rho_unweighted ~node_limit:rho_node_limit gj pi).Inductive.rho)
           1.0 gs
       in
-      let backward = Array.init (Graph.n union) (Ordering.backward_neighbors pi union) in
-      { ordering = pi; rho; backward }
+      { ordering = pi; rho }
   | Instance.Per_channel_weighted wgs ->
       let pi = Ordering.identity (Weighted.n wgs.(0)) in
       let rho =
@@ -222,13 +210,7 @@ let compute_topology conflict =
               (Inductive.rho_weighted ~node_limit:rho_node_limit wg pi).Inductive.rho)
           1.0 wgs
       in
-      let backward =
-        Array.init (Weighted.n wgs.(0)) (fun v ->
-            Ordering.before pi v
-            |> List.filter (fun u ->
-                   Array.exists (fun wg -> Weighted.wbar wg u v > 0.0) wgs))
-      in
-      { ordering = pi; rho; backward }
+      { ordering = pi; rho }
 
 let topology_of_conflict ?key t conflict =
   let key =

@@ -7,9 +7,9 @@
     that structure twice:
 
     - {b topology cache} — keyed by {!Sa_core.Serialize.conflict_fingerprint},
-      stores the inductive-independence ordering π, the measured ρ estimate,
-      and the per-vertex backward neighbourhoods, so repeat-topology
-      instances skip the NP-hard ρ computation ({!prepare});
+      stores the inductive-independence ordering π and the measured ρ
+      estimate, so repeat-topology instances skip the NP-hard ρ
+      computation ({!prepare});
     - {b basis cache} — keyed by {!Sa_core.Serialize.shape_fingerprint},
       stores the last optimal basis of the revised simplex, so repeat-shape
       LPs warm-start ({!Sa_lp.Revised.solve_warm}) instead of solving from
@@ -160,14 +160,10 @@ val create : ?warm_start:bool -> ?column_pool:bool -> unit -> t
 val warm_start_enabled : t -> bool
 val column_pool_enabled : t -> bool
 
-type topology = {
-  ordering : Sa_graph.Ordering.t;
-  rho : float;
-  backward : int list array;
-}
+type topology = { ordering : Sa_graph.Ordering.t; rho : float }
 
 val topology_of_conflict : ?key:string -> t -> Sa_core.Instance.conflict -> topology
-(** Cached (ordering π, ρ, backward neighbourhoods) for a conflict
+(** Cached (ordering π, ρ) for a conflict
     structure: degeneracy ordering + measured ρ for unweighted graphs,
     identity ordering + weighted ρ for edge-weighted ones, and the natural
     per-channel generalisations.

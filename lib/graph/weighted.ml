@@ -210,6 +210,43 @@ let iter_into t v f =
         f s.in_src.(i) s.in_w.(i)
       done
 
+(* Symmetrised neighbourhood of [v]: every [u] with [w̄ u v > 0], ascending.
+   Sparse graphs merge [v]'s in-column and out-row (both ascending).  The
+   value passed is bitwise [wbar t u v]: [w u v +. w v u] when both entries
+   are stored, the lone stored entry otherwise (stored weights are > 0, so
+   adding the absent [0.] would not change it). *)
+let iter_wbar t v f =
+  check_vertex t v;
+  match t with
+  | Dense d ->
+      let row = d.weights.(v) in
+      for u = 0 to d.dsize - 1 do
+        if u <> v then begin
+          let x = d.weights.(u).(v) +. row.(u) in
+          if x > 0.0 then f u x
+        end
+      done
+  | Sparse s ->
+      let i = ref s.in_off.(v) and i_end = s.in_off.(v + 1) in
+      let o = ref s.out_off.(v) and o_end = s.out_off.(v + 1) in
+      while !i < i_end || !o < o_end do
+        let ui = if !i < i_end then s.in_src.(!i) else max_int in
+        let uo = if !o < o_end then s.out_tgt.(!o) else max_int in
+        if ui = uo then begin
+          f ui (s.in_w.(!i) +. s.out_w.(!o));
+          incr i;
+          incr o
+        end
+        else if ui < uo then begin
+          f ui s.in_w.(!i);
+          incr i
+        end
+        else begin
+          f uo s.out_w.(!o);
+          incr o
+        end
+      done
+
 let in_weight t v =
   let acc = ref 0.0 in
   iter_into t v (fun _ x -> acc := !acc +. x);

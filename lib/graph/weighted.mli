@@ -77,6 +77,12 @@ val iter_into : t -> int -> (int -> float -> unit) -> unit
 (** [iter_into t v f] calls [f u (w u v)] for every stored positive
     in-entry of [v], ascending in [u]. *)
 
+val iter_wbar : t -> int -> (int -> float -> unit) -> unit
+(** [iter_wbar t v f] calls [f u (wbar t u v)] for every [u ≠ v] with
+    [wbar t u v > 0], ascending in [u] and without allocating: one row and
+    column scan for dense graphs, a merge of [v]'s stored out- and
+    in-entries for sparse ones. *)
+
 val in_weight : t -> int -> float
 (** Total stored in-weight [Σ_u w u v] (true row sum is within
     [dropped_in_bound t v] above this). *)

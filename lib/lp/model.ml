@@ -11,11 +11,11 @@ type t = {
   direction : Simplex.direction;
   mutable objs : float list; (* reversed *)
   mutable nvars : int;
-  mutable rows : row_data list; (* reversed *)
+  mutable rows : row_data array; (* grow-only; live prefix [0, nrows) *)
   mutable nrows : int;
 }
 
-let create direction = { direction; objs = []; nvars = 0; rows = []; nrows = 0 }
+let create direction = { direction; objs = []; nvars = 0; rows = [||]; nrows = 0 }
 
 let add_var t ~obj =
   let v = t.nvars in
@@ -29,16 +29,20 @@ let check_var t v =
 let add_row t coeffs relation rhs =
   List.iter (fun (v, _) -> check_var t v) coeffs;
   let r = t.nrows in
-  t.rows <- { coeffs; relation; rhs } :: t.rows;
-  t.nrows <- t.nrows + 1;
+  let data = { coeffs; relation; rhs } in
+  if r = Array.length t.rows then begin
+    let grown = Array.make (max 16 (2 * r)) data in
+    Array.blit t.rows 0 grown 0 r;
+    t.rows <- grown
+  end;
+  t.rows.(r) <- data;
+  t.nrows <- r + 1;
   r
 
 let add_to_row t r v coeff =
   check_var t v;
   if r < 0 || r >= t.nrows then invalid_arg "Model.add_to_row: row out of range";
-  (* rows are stored reversed *)
-  let idx = t.nrows - 1 - r in
-  let data = List.nth t.rows idx in
+  let data = t.rows.(r) in
   data.coeffs <- (v, coeff) :: data.coeffs
 
 let num_vars t = t.nvars
@@ -68,7 +72,7 @@ let to_problem t =
     List.iter (fun (v, coeff) -> a.(v) <- a.(v) +. coeff) data.coeffs;
     (a, data.relation, data.rhs)
   in
-  let rows = Array.of_list (List.rev_map dense_row t.rows) in
+  let rows = Array.init t.nrows (fun i -> dense_row t.rows.(i)) in
   { Simplex.direction = t.direction; c; rows }
 
 (* Workspace slot assignments (slots 16..23 of each typed pool belong to
@@ -99,16 +103,15 @@ end
 let to_spec ws t =
   let nvars = t.nvars in
   let m = t.nrows in
-  let rows_arr = Array.of_list (List.rev t.rows) in
+  let rows_arr = t.rows in
   let c = Workspace.floats ws ~slot:Slot.obj nvars in
   List.iteri (fun k obj -> c.(nvars - 1 - k) <- obj) t.objs;
   let rel = Array.make m Simplex.Le in
   let rhs = Workspace.floats ws ~slot:Slot.rhs m in
-  Array.iteri
-    (fun i rd ->
-      rel.(i) <- rd.relation;
-      rhs.(i) <- rd.rhs)
-    rows_arr;
+  for i = 0 to m - 1 do
+    rel.(i) <- rows_arr.(i).relation;
+    rhs.(i) <- rows_arr.(i).rhs
+  done;
   let stamp = Workspace.ints ws ~slot:Slot.stamp nvars in
   Array.fill stamp 0 nvars (-1);
   let acc = Workspace.floats ws ~slot:Slot.acc nvars in

@@ -17,11 +17,16 @@ val add_var : t -> obj:float -> var
 
 val add_row : t -> (var * float) list -> Simplex.relation -> float -> row
 (** [add_row t coeffs rel rhs] adds [Σ coeff·x rel rhs].  Repeated variables
-    in [coeffs] are summed. *)
+    in [coeffs] are summed (0.0-seeded, in list order) when the model is
+    staged for a solve.  Cost: [O(|coeffs|)] to validate the handles plus
+    amortised [O(1)] to append the row (rows live in a grow-only array). *)
 
 val add_to_row : t -> row -> var -> float -> unit
 (** Add [coeff] to the entry of [var] in an existing row — lets column
-    generation extend previously created constraints with new variables. *)
+    generation extend previously created constraints with new variables.
+    [O(1)]: the entry is prepended to the row's coefficient list.  If the
+    row already has an entry for [var], the two are summed at staging time
+    like repeated variables in {!add_row}. *)
 
 val num_vars : t -> int
 val num_rows : t -> int
@@ -38,6 +43,14 @@ type engine = Dense_tableau | Revised_sparse
 type pricing = Revised.pricing = Dantzig | Devex
 (** Re-export of {!Revised.pricing} so engine-policy code can name the
     rule without depending on {!Revised} directly. *)
+
+val to_spec : Workspace.t -> t -> Revised.spec
+(** Stage the model as a sparse column-major {!Revised.spec} in
+    [O(vars + rows + entries)], writing into the given arena's {!Model}
+    slots (so the spec is only valid until the next staging on that
+    arena).  Each column lists its rows strictly ascending with one merged,
+    nonzero entry per (row, var) — the matrix {!solve} with
+    [Revised_sparse] hands to the simplex. *)
 
 val solve :
   ?engine:engine ->

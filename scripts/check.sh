@@ -14,8 +14,10 @@
 # observability smoke (same-seed --events-out logs byte-identical across
 # runs and domain counts, --trace-out validates as Chrome Trace JSON),
 # and an http smoke (serve --listen on an ephemeral port, /metrics and
-# /healthz scraped with the in-tree raw-socket client).  Run from
-# anywhere inside the repo.
+# /healthz scraped with the in-tree raw-socket client), and a served-
+# benchmark smoke (one traced geo-repeat perfbench run whose last line must
+# report "correct": true: feasibility, welfare <= LP objective, pass-to-pass
+# byte identity and the layer-sum gate).  Run from anywhere inside the repo.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -278,6 +280,15 @@ dune exec bin/auction.exe -- serve --workload "$cwl" --no-warm --domains 4 \
 cmp "$tmpdir/cp_on.json" "$tmpdir/cp_d4.json" \
   || { echo "check: column-pool results differ between --domains 1 and 4" >&2; exit 1; }
 echo "   column pool: results byte-identical with pool on/off and across domains"
+
+echo "== served benchmark smoke (perfbench geo-repeat, traced, correctness gates)"
+pbout="$tmpdir/perfbench.txt"
+dune exec ./perfbench/main.exe -- --workload geo-repeat --seed 1 --seconds 0.1 \
+  --trace 1 > "$pbout" \
+  || { tail -n 5 "$pbout" >&2; echo "check: perfbench geo-repeat failed its gates" >&2; exit 1; }
+tail -n 1 "$pbout" | grep -q '"correct": true' \
+  || { echo "check: perfbench geo-repeat did not report \"correct\": true" >&2; exit 1; }
+echo "   perfbench: geo-repeat seed 1 correct ($(grep '^results_md5' "$pbout"))"
 
 echo "== telemetry smoke (serve --demo --metrics-out)"
 snap="$tmpdir/metrics.json"

@@ -24,4 +24,5 @@ let () =
       ("engine", Suite_engine.suite);
       ("resilience", Suite_resilience.suite);
       ("pool", Suite_pool.suite);
+      ("staging", Suite_staging.suite);
     ]
