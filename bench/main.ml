@@ -15,9 +15,9 @@
                         BENCH_engine.json)
 
    A second group, `bench kernels` (dune exec bench/main.exe -- kernels),
-   compares the sparse hot-path kernels against their dense references:
-   bitset-vs-matrix graph queries, eta-file-vs-tableau LP solves, and the
-   full colgen+rounding pipeline dense/sparse and 1-vs-N domains, writing
+   times the sparse hot-path kernels: bitset-vs-matrix graph queries, a
+   certified eta-file LP solve, and the full colgen+rounding pipeline with
+   naive vs incremental dual pricing and 1-vs-N domains, writing
    BENCH_kernels.json.  Flags: --quick (small instance), --domains N,
    --kernels-out PATH.
 
@@ -206,13 +206,9 @@ let tests =
                }
              in
              ignore (Sa_sim.Market.run ~seed:1 cfg)));
-      (* LP engine comparison on the same auction LP *)
-      Test.make ~name:"lp-engine/dense-n25-k4"
-        (Staged.stage (fun () ->
-             ignore (Lp.solve_explicit ~engine:Sa_lp.Model.Dense_tableau protocol_inst)));
+      (* the explicit auction LP *)
       Test.make ~name:"lp-engine/revised-n25-k4"
-        (Staged.stage (fun () ->
-             ignore (Lp.solve_explicit ~engine:Sa_lp.Model.Revised_sparse protocol_inst)));
+        (Staged.stage (fun () -> ignore (Lp.solve_explicit protocol_inst)));
       (* serialization roundtrip *)
       Test.make ~name:"io/serialize-roundtrip-n25"
         (Staged.stage (fun () ->
@@ -430,22 +426,17 @@ let kernels_lp_micro ~quick =
   let p = packing_problem ~quick in
   let ncols = Array.length p.Simplex.c in
   let rows = Array.length p.Simplex.rows in
-  let dense_sol, dense_s = Sa_util.Timing.time (fun () -> Simplex.solve p) in
   let (eta_sol, eta_ctr), eta_s =
     Sa_util.Timing.time (fun () ->
         with_counter_delta (fun () -> Sa_lp.Revised.solve p))
   in
-  let certified s = (Sa_lp.Certify.check p s).Sa_lp.Certify.certified in
-  let both_certified = certified dense_sol && certified eta_sol in
-  Printf.printf
-    "  lp     %dx%d packing: dense %.4fs  eta %.4fs  (%.1fx, certified=%b)\n" rows
-    ncols dense_s eta_s (dense_s /. eta_s) both_certified;
+  let certified = (Sa_lp.Certify.check p eta_sol).Sa_lp.Certify.certified in
+  Printf.printf "  lp     %dx%d packing: eta %.4fs  (certified=%b)\n" rows ncols
+    eta_s certified;
   Printf.sprintf
-    "{\"rows\":%d,\"cols\":%d,\"dense_seconds\":%.6f,\"eta_seconds\":%.6f,\
-     \"speedup\":%.3f,\"dense_objective\":%.6f,\"eta_objective\":%.6f,\
-     \"both_certified\":%b,\"eta_counters\":%s}"
-    rows ncols dense_s eta_s (dense_s /. eta_s) dense_sol.Simplex.objective
-    eta_sol.Simplex.objective both_certified
+    "{\"rows\":%d,\"cols\":%d,\"eta_seconds\":%.6f,\"eta_objective\":%.6f,\
+     \"certified\":%b,\"eta_counters\":%s}"
+    rows ncols eta_s eta_sol.Simplex.objective certified
     (Export.counters_to_json eta_ctr)
 
 let kernels_pipeline ~quick ~domains =
@@ -457,14 +448,12 @@ let kernels_pipeline ~quick ~domains =
   let inst =
     Workloads.protocol_instance ~seed:17 ~n ~k ~profile:Workloads.Xor_heavy ()
   in
-  let run name ~engine ~pricing ~dom =
+  let run name ~pricing ~dom =
     let alloc0 = Gc.allocated_bytes () in
     let ((frac, stats, alloc), ctr), seconds =
       Sa_util.Timing.time (fun () ->
           with_counter_delta (fun () ->
-              let frac, stats =
-                Oracle.solve ~max_rounds ~engine ~pricing ~domains:dom inst
-              in
+              let frac, stats = Oracle.solve ~max_rounds ~pricing ~domains:dom inst in
               let alloc = Rounding.solve_par ~domains:dom ~trials:8 ~seed:23 inst frac in
               (frac, stats, alloc)))
     in
@@ -485,31 +474,27 @@ let kernels_pipeline ~quick ~domains =
     in
     (json, seconds, frac.Lp.objective, stats.Oracle.columns_generated)
   in
-  let d_json, d_s, d_obj, d_cols =
-    run "dense+naive d=1"
-      ~engine:Sa_lp.Model.Dense_tableau ~pricing:Oracle.Naive ~dom:1
-  in
+  let n_json, n_s, n_obj, n_cols = run "naive d=1" ~pricing:Oracle.Naive ~dom:1 in
   let s1_json, s1_s, s1_obj, s1_cols =
-    run "sparse+incremental d=1"
-      ~engine:Sa_lp.Model.Revised_sparse ~pricing:Oracle.Incremental ~dom:1
+    run "incremental d=1" ~pricing:Oracle.Incremental ~dom:1
   in
   let sN_json, sN_s, _, _ =
     run
-      (Printf.sprintf "sparse+incremental d=%d" domains)
-      ~engine:Sa_lp.Model.Revised_sparse ~pricing:Oracle.Incremental ~dom:domains
+      (Printf.sprintf "incremental d=%d" domains)
+      ~pricing:Oracle.Incremental ~dom:domains
   in
-  let speedup = d_s /. s1_s in
+  let speedup = n_s /. s1_s in
   let scaling = s1_s /. sN_s in
   Printf.printf
-    "  pipeline speedup sparse/dense: %.2fx   scaling d%d/d1: %.2fx\n" speedup
+    "  pipeline speedup incremental/naive: %.2fx   scaling d%d/d1: %.2fx\n" speedup
     domains scaling;
   Printf.sprintf
-    "{\"n\":%d,\"k\":%d,\"max_rounds\":%d,\"dense\":%s,\"sparse_d1\":%s,\
-     \"sparse_dN\":%s,\"speedup_sparse_over_dense\":%.3f,\
+    "{\"n\":%d,\"k\":%d,\"max_rounds\":%d,\"naive\":%s,\"sparse_d1\":%s,\
+     \"sparse_dN\":%s,\"speedup_incremental_over_naive\":%.3f,\
      \"scaling_dN_over_d1\":%.3f,\"parity\":{\"columns_equal\":%b,\
      \"objective_delta\":%.9f}}"
-    n k max_rounds d_json s1_json sN_json speedup scaling (d_cols = s1_cols)
-    (Float.abs (d_obj -. s1_obj))
+    n k max_rounds n_json s1_json sN_json speedup scaling (n_cols = s1_cols)
+    (Float.abs (n_obj -. s1_obj))
 
 let kernels_bench ~quick ~out ~domains =
   Printf.printf "kernels (%s, domains=%d):\n%!"

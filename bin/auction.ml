@@ -46,10 +46,30 @@ let model_name = function
   | Clique -> "clique (plain combinatorial auction)"
   | Asymmetric -> "asymmetric channels (Thm 14 gadget)"
 
+(* Exit status for an input file (--load, --workload) that cannot be read
+   or parsed; listed in the EXIT STATUS section of [run] and [serve]. *)
+let exit_bad_input = 3
+
+let bad_input_exit =
+  Cmd.Exit.info exit_bad_input
+    ~doc:"on an input file that cannot be read or parsed; one line on \
+          standard error names the file and, for a parse error, the line."
+
+(* [load path], with a malformed or unreadable file reported as one
+   "auction: FILE: line N: ..." line and [exit_bad_input]. *)
+let load_input load path =
+  try load path with
+  | Sa_util.Fail.Error (Sa_util.Fail.Malformed_job { detail }) ->
+      Printf.eprintf "auction: %s: %s\n%!" path detail;
+      exit exit_bad_input
+  | Sys_error msg ->
+      Printf.eprintf "auction: %s\n%!" msg;
+      exit exit_bad_input
+
 let run_auction () model algorithm n k seed trials mechanism save load =
   let inst =
     match load with
-    | Some path -> Sa_core.Serialize.load_instance path
+    | Some path -> load_input Sa_core.Serialize.load_instance path
     | None -> build_instance model ~seed ~n ~k
   in
   (match save with
@@ -145,7 +165,7 @@ let run_term =
 
 let run_cmd =
   let doc = "Run one synthetic secondary spectrum auction" in
-  Cmd.v (Cmd.info "run" ~doc) run_term
+  Cmd.v (Cmd.info "run" ~doc ~exits:(bad_input_exit :: Cmd.Exit.defaults)) run_term
 
 (* ------------------------------- serve ----------------------------------- *)
 
@@ -171,9 +191,9 @@ let read_file path =
 let print_telemetry_summary (snap : Metrics.view) =
   let c name = Option.value ~default:0 (Metrics.find_counter snap name) in
   Printf.printf
-    "telemetry: pivots %d revised / %d dense  colgen %d calls / %d cols  \
-     rounding %d trials  rho-est %d  topo %d/%d hit  basis %d/%d hit\n"
-    (c "lp.revised.pivots") (c "lp.simplex.pivots") (c "core.colgen.oracle_calls")
+    "telemetry: pivots %d  colgen %d calls / %d cols  rounding %d trials  \
+     rho-est %d  topo %d/%d hit  basis %d/%d hit\n"
+    (c "lp.revised.pivots") (c "core.colgen.oracle_calls")
     (c "core.colgen.columns") (c "core.rounding.trials") (c "graph.rho.estimates")
     (c "engine.topology.hits")
     (c "engine.topology.hits" + c "engine.topology.misses")
@@ -185,7 +205,7 @@ let run_serve () workload demo domains pool_chunk no_warm no_column_pool
     trace_out events_out =
   let specs =
     match (workload, demo) with
-    | Some path, _ -> Workload.load path
+    | Some path, _ -> load_input Workload.load path
     | None, true -> Workload.demo
     | None, false ->
         prerr_endline "serve: pass --workload FILE or --demo";
@@ -464,7 +484,7 @@ let events_out_arg =
 
 let serve_cmd =
   let doc = "Replay a workload file through the batch auction engine" in
-  Cmd.v (Cmd.info "serve" ~doc)
+  Cmd.v (Cmd.info "serve" ~doc ~exits:(bad_input_exit :: Cmd.Exit.defaults))
     Term.(const run_serve $ Log_cli.term $ workload_arg $ demo_arg $ domains_arg
           $ pool_chunk_arg $ no_warm_arg $ no_column_pool_arg $ pricing_arg
           $ presolve_arg $ json_arg

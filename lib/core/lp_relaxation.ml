@@ -136,11 +136,11 @@ let stage ?(zeroed = []) inst =
     cols_of;
   (m, vars)
 
-let solve_explicit_stats ?engine ?zeroed ?warm_start ?max_iters ?deadline
+let solve_explicit_stats ?zeroed ?warm_start ?max_iters ?deadline
     ?inject_warm_crash ?pricing ?presolve inst =
   let m, vars = stage ?zeroed inst in
   let ws =
-    Model.solve_with_basis ?engine ?warm_start ?max_iters ?deadline
+    Model.solve_with_basis ?warm_start ?max_iters ?deadline
       ?inject_warm_crash ?pricing ?presolve m
   in
   let sol = ws.Model.solution in
@@ -169,8 +169,7 @@ let solve_explicit_stats ?engine ?zeroed ?warm_start ?max_iters ?deadline
       warm_start_used = ws.Model.stats.Sa_lp.Revised.warm_used;
     } )
 
-let solve_explicit ?engine ?zeroed inst =
-  fst (solve_explicit_stats ?engine ?zeroed inst)
+let solve_explicit ?zeroed inst = fst (solve_explicit_stats ?zeroed inst)
 
 let scale frac factor =
   if factor < 0.0 || factor > 1.0 then invalid_arg "Lp_relaxation.scale: factor in [0,1]";

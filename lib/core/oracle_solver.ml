@@ -206,9 +206,9 @@ let price_state_update inst st ~y =
   done;
   Tel.add m_price_recomputes !recomputed
 
-let solve ?(max_rounds = 200) ?(eps = Sa_lp.Tol.feas_eps)
-    ?(engine = Model.Revised_sparse) ?(pricing = Incremental) ?lp_pricing
-    ?presolve ?(domains = 1) ?deadline ?(on_stall = `Accept) ?column_pool inst =
+let solve ?(max_rounds = 200) ?(eps = Sa_lp.Tol.feas_eps) ?(pricing = Incremental)
+    ?lp_pricing ?presolve ?(domains = 1) ?deadline ?(on_stall = `Accept)
+    ?column_pool inst =
   Sa_telemetry.Trace.with_span ~hist:h_solve "core.colgen.solve" @@ fun () ->
   Tel.incr m_solves;
   if domains < 1 then invalid_arg "Oracle_solver.solve: domains must be >= 1";
@@ -328,10 +328,9 @@ let solve ?(max_rounds = 200) ?(eps = Sa_lp.Tol.feas_eps)
       if util > 0.0 && not (Bundle.is_empty bundle) then ignore (add_column v bundle))
     seed_demands;
   let lp_time = ref 0.0 in
-  (* Warm-start bookkeeping for the sparse engine: the previous optimal
-     basis stays primal feasible when columns are appended, but slack
-     indices shift by the number of new structural columns — remap before
-     reuse. *)
+  (* Warm-start bookkeeping: the previous optimal basis stays primal
+     feasible when columns are appended, but slack indices shift by the
+     number of new structural columns — remap before reuse. *)
   let warm_basis = ref None in
   let basis_nstruct = ref 0 in
   (* One arena for every master re-solve this job performs (and, since it
@@ -343,14 +342,14 @@ let solve ?(max_rounds = 200) ?(eps = Sa_lp.Tol.feas_eps)
     let nstruct = Model.num_vars m in
     let warm_start =
       match !warm_basis with
-      | Some b when engine = Model.Revised_sparse ->
+      | Some b ->
           let shift = nstruct - !basis_nstruct in
           Some (Array.map (fun j -> if j < !basis_nstruct then j else j + shift) b)
-      | _ -> None
+      | None -> None
     in
     let r, dt =
       Sa_util.Timing.time (fun () ->
-          Model.solve_with_basis ~engine ?warm_start ?deadline
+          Model.solve_with_basis ?warm_start ?deadline
             ?pricing:lp_pricing ?presolve ~workspace:lp_workspace m)
     in
     lp_time := !lp_time +. dt;

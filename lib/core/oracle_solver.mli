@@ -64,7 +64,6 @@ type pricing =
 val solve :
   ?max_rounds:int ->
   ?eps:float ->
-  ?engine:Sa_lp.Model.engine ->
   ?pricing:pricing ->
   ?lp_pricing:Sa_lp.Model.pricing ->
   ?presolve:bool ->
@@ -86,9 +85,8 @@ val solve :
     restricted-master optimum, [`Fail] raises
     [Sa_util.Fail.Error (Colgen_stall _)].
 
-    [engine] selects the master-LP solver (default [Revised_sparse]; the
-    sparse engine is warm-started across rounds from the previous optimal
-    basis, with slack indices remapped as columns are appended).
+    The master LP is warm-started across rounds from the previous optimal
+    basis, with slack indices remapped as columns are appended.
     [pricing] defaults to [Incremental].  [lp_pricing] selects the
     *simplex* entering-variable rule inside each master solve
     ({!Sa_lp.Model.pricing}, default [Dantzig]) — distinct from [pricing],
@@ -96,11 +94,15 @@ val solve :
     re-solves share the domain's {!Sa_lp.Workspace} arena, so a re-solve
     allocates only for the columns added since the previous round.
     [presolve] (default [false]) runs {!Sa_lp.Presolve} in front of every
-    master solve; reductions compose with the cross-round warm start (the
-    basis cache stays in original coordinates) and with the column pool —
+    master solve.  The optimum is unchanged (exact postsolve, and the
+    basis handed back stays in original coordinates), but the
+    cross-round warm start often fails to install on the reduced master
+    and the round starts cold, so presolved colgen spends more pivots
+    (about half the warm starts install on the served colgen-mix
+    workload; see {!Sa_lp.Model.solve_with_basis}).  Column-pool
     fingerprints are computed on the pre-presolve model, so a column
-    dropped by presolve in one round is still internable and may re-enter
-    later.
+    dropped by presolve in one round is still internable and may
+    re-enter later.
     [domains] (default 1) fans the
     per-round demand-oracle calls across OCaml 5 domains; answers merge in
     bidder order, so the generated column sequence — and every telemetry

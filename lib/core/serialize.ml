@@ -109,7 +109,16 @@ let instance_to_string inst =
 
 type reader = { lines : string array; mutable pos : int }
 
-let fail r msg = failwith (Printf.sprintf "Serialize: line %d: %s" (r.pos + 1) msg)
+(* [r.pos] is the 1-based number of the last line [next_line] returned (or
+   of the last line of the input once it is exhausted). *)
+let fail r msg =
+  let detail = Printf.sprintf "line %d: %s" (max 1 r.pos) msg in
+  Sa_util.Fail.raise_ (Sa_util.Fail.Malformed_job { detail })
+
+(* Semantic checks in the constructors ([Ordering.of_order],
+   [Instance.make], ...) raise [Invalid_argument]; report them at the line
+   being read like the syntax errors. *)
+let located r f = try f () with Invalid_argument msg -> fail r msg
 
 let next_line r =
   let rec go () =
@@ -228,6 +237,7 @@ let read_bidders r n k first_line =
 
 let instance_of_string s =
   let r = { lines = Array.of_list (String.split_on_char '\n' s); pos = 0 } in
+  located r @@ fun () ->
   (match words (expect_line r) with
   | [ "specauction-instance"; v ] when int_of r v = version -> ()
   | _ -> fail r "bad header");
@@ -274,6 +284,7 @@ let allocation_to_string alloc =
 
 let allocation_of_string s =
   let r = { lines = Array.of_list (String.split_on_char '\n' s); pos = 0 } in
+  located r @@ fun () ->
   (match words (expect_line r) with
   | [ "specauction-allocation"; v ] when int_of r v = version -> ()
   | _ -> fail r "bad header");

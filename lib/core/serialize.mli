@@ -26,12 +26,15 @@
 val instance_to_string : Instance.t -> string
 
 val instance_of_string : string -> Instance.t
-(** Raises [Failure] with a line-numbered message on malformed input. *)
+(** Raises [Sa_util.Fail.Error (Malformed_job { detail })] on malformed
+    input, [detail] starting ["line N: "] with the 1-based number of the
+    offending line (the last line when the input ends early). *)
 
 val allocation_to_string : Allocation.t -> string
 
 val allocation_of_string : string -> Allocation.t
-(** Raises [Failure] on malformed input. *)
+(** Raises [Sa_util.Fail.Error (Malformed_job _)] on malformed input, as
+    {!instance_of_string}. *)
 
 val fingerprint : Instance.t -> string
 (** Hex digest of the full serialised instance — two instances share a

@@ -366,9 +366,9 @@ let run_job_robust_impl t policy job =
                    pivots; the per-attempt pivot budget is not threaded
                    through — the deadline is the binding control. *)
                 let frac, ostats =
-                  Oracle_solver.solve ~engine:Sa_lp.Model.Revised_sparse
-                    ~lp_pricing:policy.lp_pricing ~presolve:policy.lp_presolve
-                    ?deadline ?column_pool:oracle_pool inst
+                  Oracle_solver.solve ~lp_pricing:policy.lp_pricing
+                    ~presolve:policy.lp_presolve ?deadline
+                    ?column_pool:oracle_pool inst
                 in
                 ( frac,
                   {
@@ -377,10 +377,9 @@ let run_job_robust_impl t policy job =
                     warm_start_used = false;
                   } )
             | _ ->
-                Lp.solve_explicit_stats ~engine:Sa_lp.Model.Revised_sparse
-                  ?warm_start:warm_basis ?deadline ?max_iters:policy.pivot_budget
-                  ~inject_warm_crash:fire_warm ~pricing:policy.lp_pricing
-                  ~presolve:policy.lp_presolve inst)
+                Lp.solve_explicit_stats ?warm_start:warm_basis ?deadline
+                  ?max_iters:policy.pivot_budget ~inject_warm_crash:fire_warm
+                  ~pricing:policy.lp_pricing ~presolve:policy.lp_presolve inst)
       in
       lp_s_total := !lp_s_total +. lp_s;
       (match (shape_key, stats.Lp.basis) with

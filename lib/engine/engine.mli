@@ -104,7 +104,9 @@ type policy = {
           every LP this job solves (default [false]).  Solutions, duals,
           prices and certificates come back in original coordinates via
           the exact postsolve, so results agree with the unpresolved solve
-          within [Tol]. *)
+          within [Tol].  It defeats the basis cache, though: a cached
+          basis rarely installs on a revalued job's reduced LP, so
+          repeated topologies re-solve cold (see DESIGN.md §12). *)
 }
 
 val default_policy : policy

@@ -91,7 +91,9 @@ let to_string specs =
   Buffer.add_string buf "end\n";
   Buffer.contents buf
 
-let fail line msg = failwith (Printf.sprintf "Workload: line %d: %s" line msg)
+let fail line msg =
+  let detail = Printf.sprintf "line %d: %s" line msg in
+  Sa_util.Fail.raise_ (Sa_util.Fail.Malformed_job { detail })
 
 let parse_spec lineno words =
   let get key of_string fallback =
@@ -143,8 +145,9 @@ let of_string text =
         | "batch" :: rest -> specs := parse_spec lineno rest :: !specs
         | _ -> fail lineno "expected 'batch key=value ...' or 'end'")
     lines;
-  if not !seen_header then failwith "Workload: empty input";
-  if not !seen_end then failwith "Workload: missing 'end'";
+  let last = List.length lines in
+  if not !seen_header then fail last "empty input (expected 'specauction-workload 1')";
+  if not !seen_end then fail last "missing 'end'";
   List.rev !specs
 
 let load path =

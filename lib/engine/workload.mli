@@ -51,7 +51,10 @@ val revalue : seed:int -> Sa_core.Instance.t -> Sa_core.Instance.t
 
 val to_string : spec list -> string
 val of_string : string -> spec list
-(** Raises [Failure] with a line-numbered message on malformed input. *)
+(** Raises [Sa_util.Fail.Error (Malformed_job { detail })] on malformed
+    input, [detail] starting ["line N: "] with the 1-based number of the
+    offending line (the last line for an empty input or a missing
+    ['end']). *)
 
 val load : string -> spec list
 val save : string -> spec list -> unit

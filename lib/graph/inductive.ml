@@ -68,40 +68,6 @@ let degeneracy_ordering g =
      neighbours. *)
   (Ordering.of_order (Array.of_list !order_rev), !degeneracy)
 
-let greedy_weighted_ordering ?(node_limit = 20_000) wg =
-  let size = Weighted.n wg in
-  let remaining = Array.make size true in
-  let positions = Array.make size (-1) in
-  (* Mass a vertex would see if placed last among the current remaining
-     set: max over independent subsets of the remaining candidates of the
-     incoming symmetrised weight. *)
-  let backward_mass v =
-    let candidates =
-      List.init size Fun.id
-      |> List.filter (fun u -> remaining.(u) && u <> v && Weighted.wbar wg u v > 0.0)
-      |> Array.of_list
-    in
-    if Array.length candidates = 0 then 0.0
-    else
-      let profit u = Weighted.wbar wg u v in
-      (Indep.max_profit_weighted ~node_limit wg ~candidates ~profit).Indep.value
-  in
-  for pos = size - 1 downto 0 do
-    let best = ref (-1) and best_mass = ref infinity in
-    for v = 0 to size - 1 do
-      if remaining.(v) then begin
-        let mass = backward_mass v in
-        if mass < !best_mass then begin
-          best_mass := mass;
-          best := v
-        end
-      end
-    done;
-    positions.(pos) <- !best;
-    remaining.(!best) <- false
-  done;
-  Ordering.of_order positions
-
 let check_unweighted_bound g pi ~rho m =
   if not (Graph.is_independent g m) then
     invalid_arg "Inductive.check_unweighted_bound: set is not independent";

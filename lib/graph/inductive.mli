@@ -24,16 +24,6 @@ val degeneracy_ordering : Graph.t -> Ordering.t * int
 (** Smallest-degree-last ordering and the graph degeneracy [d]; the returned
     ordering satisfies ρ(π) ≤ backward-degree ≤ d. *)
 
-val greedy_weighted_ordering : ?node_limit:int -> Weighted.t -> Ordering.t
-(** Ordering search for arbitrary edge-weighted graphs (when no
-    interference model supplies π): repeatedly place *last*, among the
-    remaining vertices, the one whose backward independent-set mass
-    (Definition 2, restricted to the remaining set) is smallest — the
-    weighted generalisation of the degeneracy ordering.  The resulting
-    ordering heuristically minimises ρ(π); tests compare it against random
-    and identity orderings.  Inner maxima are computed by branch and bound
-    under [node_limit] (default 20_000 per step), falling back to greedy. *)
-
 val check_unweighted_bound : Graph.t -> Ordering.t -> rho:int -> int list -> bool
 (** [check_unweighted_bound g pi ~rho m] verifies the Definition-1 inequality
     for the specific independent set [m]: every vertex [v] has at most [rho]

@@ -1,6 +1,7 @@
-(** Sparse revised simplex — an alternative engine to {!Simplex}.
+(** Sparse revised simplex — the LP engine behind every solve ({!Model}
+    stages its models for {!solve_spec}).
 
-    Same problem/solution types, different machinery: columns are stored
+    Works on the {!Simplex} problem/solution types.  Columns are stored
     as one flat CSC matrix and the basis inverse is kept as a product-form
     eta file (one sparse eta column per pivot), so ftran/btran cost O(nnz)
     per eta rather than O(m²) dense updates.  The file is rebuilt from the
@@ -21,9 +22,10 @@
     range used on every solve, keeping results bitwise independent of
     whatever previously ran on the domain.
 
-    Numerical behaviour can differ from the tableau in degenerate cases;
-    the test suite cross-validates objectives between the two engines and
-    certifies both with {!Certify}. *)
+    The test suite cross-validates it against an independent dense
+    tableau simplex kept under [test/]: objectives agree (the optimal
+    vertex can differ at degenerate optima) and both solutions certify
+    with {!Certify}. *)
 
 type basis = int array
 (** A simplex basis: one internal column index per row.  Opaque to callers
@@ -78,7 +80,8 @@ val solve :
   ?workspace:Workspace.t ->
   Simplex.problem ->
   Simplex.solution
-(** Drop-in replacement for {!Simplex.solve}.  [deadline] is an absolute
+(** Solve a dense problem statement (converted with {!spec_of_problem}).
+    [deadline] is an absolute
     {!Sa_util.Timing.now} timestamp; past it the solve raises
     [Sa_util.Fail.Error (Timeout _)] (checked every 32 pivots).
     [pricing] defaults to [Dantzig]; [workspace] defaults to the calling

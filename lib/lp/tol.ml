@@ -1,8 +1,8 @@
 (* Shared numerical tolerances for the LP layer.
 
    One definition for each tolerance instead of per-module copies, so the
-   dense tableau, the revised (eta-file) engine, and downstream callers such
-   as the pricing oracle agree on what "zero" means. *)
+   revised (eta-file) simplex, presolve, certification and downstream
+   callers such as the pricing oracle agree on what "zero" means. *)
 
 let feas_eps = 1e-7
 let pivot_eps = 1e-9

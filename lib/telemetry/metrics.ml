@@ -196,8 +196,6 @@ let reset ?(registry = default) () =
 
 let counter_descriptions =
   [
-    ("lp.simplex.solves", "Dense tableau simplex solves completed");
-    ("lp.simplex.pivots", "Dense tableau simplex pivot steps");
     ("lp.revised.solves", "Revised (eta-file) simplex solves completed");
     ("lp.revised.pivots", "Revised simplex pivot steps");
     ("lp.revised.warm_attempts", "Warm-start basis installations attempted");

@@ -17,7 +17,9 @@
 # /healthz scraped with the in-tree raw-socket client), and a served-
 # benchmark smoke (one traced geo-repeat perfbench run whose last line must
 # report "correct": true: feasibility, welfare <= LP objective, pass-to-pass
-# byte identity and the layer-sum gate).  Run from anywhere inside the repo.
+# byte identity and the layer-sum gate), and an input-error smoke (a
+# malformed workload file exits nonzero but not 125, naming its line).
+# Run from anywhere inside the repo.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -56,8 +58,8 @@ dune exec bench/main.exe -- kernels --quick --domains 4 \
 
 test -s "$kout" || { echo "check: $kout missing or empty" >&2; exit 1; }
 for key in '"benchmark":"kernels"' '"graph":' '"is_independent":' '"lp":' \
-           '"pipeline":' '"sparse_d1":' '"sparse_dN":' '"alloc_bytes":' \
-           '"speedup_sparse_over_dense":' '"scaling_dN_over_d1":'; do
+           '"pipeline":' '"naive":' '"sparse_d1":' '"sparse_dN":' '"alloc_bytes":' \
+           '"speedup_incremental_over_naive":' '"scaling_dN_over_d1":'; do
   grep -q -- "$key" "$kout" || { echo "check: $kout lacks $key" >&2; exit 1; }
 done
 
@@ -71,14 +73,13 @@ awk "BEGIN{exit !($gspeed >= 1.0)}" \
 grep -q '"agree":true' "$kout" \
   || { echo "check: bitset kernel disagrees with dense reference" >&2; exit 1; }
 
-# dense and sparse pipelines must certify the identical LP objective
-# (column counts may differ by degenerate dual ties on the small quick
-# instance; the full-size run in the committed BENCH_kernels.json has
-# exact column parity too)
-grep -q '"columns_equal":' "$kout" \
-  || { echo "check: $kout lacks parity block" >&2; exit 1; }
+# naive and incremental colgen pricing walk the identical trajectory, so
+# the two pipelines must generate the same columns and reach the same LP
+# objective (dense-vs-revised simplex parity is covered by the test suite)
+grep -q '"columns_equal":true' "$kout" \
+  || { echo "check: pipeline columns differ naive vs incremental" >&2; exit 1; }
 grep -q '"objective_delta":0.000000000' "$kout" \
-  || { echo "check: pipeline objectives differ dense vs sparse" >&2; exit 1; }
+  || { echo "check: pipeline objectives differ naive vs incremental" >&2; exit 1; }
 
 # allocation telemetry must be reported for both domain counts; diff them
 a1="$(grep -o '"sparse_d1":{[^{]*' "$kout" | grep -o '"alloc_bytes":[0-9]*')"
@@ -266,6 +267,19 @@ dune exec bin/auction.exe -- serve --demo --no-warm --presolve on --domains 4 \
 cmp "$tmpdir/pr1.json" "$tmpdir/pr4.json" \
   || { echo "check: presolve results differ between --domains 1 and 4" >&2; exit 1; }
 echo "   presolve: objectives agree off/on ($obj_off), results byte-identical across domains"
+
+echo "== input error smoke (serve --workload on a malformed file)"
+badwl="$tmpdir/bad.wl"
+printf 'specauction-workload 1\nbatch model=protocol n=8 seed=1\nend\n' > "$badwl"
+set +e
+dune exec bin/auction.exe -- serve --workload "$badwl" >/dev/null 2>"$tmpdir/bad.err"
+bad_status=$?
+set -e
+test "$bad_status" -ne 0 && test "$bad_status" -ne 125 \
+  || { echo "check: malformed workload exited $bad_status (want nonzero, not 125)" >&2; exit 1; }
+grep -q 'line 2' "$tmpdir/bad.err" \
+  || { echo "check: malformed-workload message does not name line 2" >&2; exit 1; }
+echo "   input errors: malformed workload exits $bad_status: $(head -n 1 "$tmpdir/bad.err")"
 
 echo "== column pool smoke (serve byte-identity, pool on vs --no-column-pool)"
 cwl="examples/columns.wl"

@@ -18,6 +18,8 @@ module Exact = Sa_core.Exact
 module Greedy = Sa_core.Greedy
 module Edge_lp = Sa_core.Edge_lp
 module Hardness = Sa_core.Hardness
+module Workloads = Sa_exp.Workloads
+module Simplex = Sa_lp.Simplex
 
 (* ---------- fixtures ---------------------------------------------------- *)
 
@@ -83,19 +85,67 @@ let test_lp_zeroed_bidder () =
   Alcotest.(check bool) "removing a bidder cannot raise the optimum" true
     (without0.Lp.objective <= full.Lp.objective +. 1e-6)
 
-let test_lp_engines_agree () =
-  (* The two simplex engines must produce the same optimum on real auction
-     LPs (values can differ at degenerate vertices; objectives cannot). *)
-  for seed = 1 to 6 do
-    let inst = random_unweighted_instance ~seed ~n:15 ~k:3 ~d:4 in
-    let dense = Lp.solve_explicit ~engine:Sa_lp.Model.Dense_tableau inst in
-    let revised = Lp.solve_explicit ~engine:Sa_lp.Model.Revised_sparse inst in
-    if Float.abs (dense.Lp.objective -. revised.Lp.objective) > 1e-5 then
-      Alcotest.failf "engines disagree: %.8f vs %.8f" dense.Lp.objective
-        revised.Lp.objective;
-    Alcotest.(check bool) "revised solution LP-feasible" true
-      (Lp.is_lp_feasible inst revised)
-  done
+(* The revised simplex (every production LP) against the test-side dense
+   tableau on the LP [Lp.stage] builds: disk, protocol, edge-weighted SINR,
+   per-channel and bounded-degree instances, with and without zeroed
+   bidders.  The objectives agree within [Tol.cert_eps], both solutions
+   certify, and the columns [Lp.solve_explicit] reports satisfy the LP.
+   (Values can differ at degenerate vertices; objectives cannot.) *)
+let prop_lp_engines_agree =
+  QCheck.Test.make ~name:"LP engines agree on auction LPs" ~count:80
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let g = Prng.create ~seed in
+      let n = 3 + Prng.int g 10 and k = 1 + Prng.int g 3 in
+      let what, inst =
+        match seed mod 5 with
+        | 0 -> ("disk", Workloads.disk_instance ~seed ~n ~k ())
+        | 1 -> ("protocol", Workloads.protocol_instance ~seed ~n ~k ())
+        | 2 ->
+            ( "sinr",
+              fst
+                (Workloads.sinr_fixed_instance ~seed ~n ~k
+                   ~scheme:Sa_wireless.Sinr.Uniform ()) )
+        | 3 ->
+            let graphs = Array.init k (fun _ -> Generators.gnp g ~n ~p:0.3) in
+            let bidders = Workloads.bidders g ~n ~k ~profile:Workloads.Mixed in
+            ( "per-channel",
+              Instance.make ~conflict:(Instance.Per_channel graphs) ~k ~bidders
+                ~ordering:(Ordering.of_order (Prng.permutation g n))
+                ~rho:(1.0 +. Prng.float g 2.0) )
+        | _ -> ("bounded-degree", random_unweighted_instance ~seed ~n ~k ~d:4)
+      in
+      let zeroed =
+        if Prng.bool g then
+          List.filter (fun _ -> Prng.float g 1.0 < 0.3) (List.init n Fun.id)
+        else []
+      in
+      let m, _ = Lp.stage ~zeroed inst in
+      let p = Dense_tableau.problem_of_model m in
+      let dense = Dense_tableau.solve p in
+      let revised =
+        let r = Sa_lp.Model.solve m in
+        {
+          Simplex.status = r.Sa_lp.Model.status;
+          x = Array.init (Sa_lp.Model.num_vars m) r.Sa_lp.Model.value;
+          objective = r.Sa_lp.Model.objective;
+          duals = Array.init (Sa_lp.Model.num_rows m) r.Sa_lp.Model.dual;
+        }
+      in
+      let frac = Lp.solve_explicit ~zeroed inst in
+      let fail fmt = QCheck.Test.fail_reportf ("%s seed %d: " ^^ fmt) what seed in
+      let certified s = (Sa_lp.Certify.check p s).Sa_lp.Certify.certified in
+      if dense.Simplex.status <> Simplex.Optimal then fail "tableau not optimal";
+      if Float.abs (dense.Simplex.objective -. frac.Lp.objective)
+         > Sa_lp.Tol.cert_eps *. (1.0 +. Float.abs dense.Simplex.objective)
+      then fail "tableau %.9g vs revised %.9g" dense.Simplex.objective frac.Lp.objective;
+      if revised.Simplex.objective <> frac.Lp.objective then
+        fail "Model.solve %h vs solve_explicit %h" revised.Simplex.objective
+          frac.Lp.objective;
+      if not (certified dense) then fail "tableau solution not certified";
+      if not (certified revised) then fail "revised solution not certified";
+      if not (Lp.is_lp_feasible inst frac) then fail "revised solution LP-infeasible";
+      true)
 
 let test_lp_scale () =
   let inst = random_unweighted_instance ~seed:5 ~n:10 ~k:2 ~d:3 in
@@ -236,16 +286,14 @@ let test_oracle_weighted () =
     (Float.abs (oracle.Lp.objective -. explicit.Lp.objective) < 1e-4)
 
 (* Incremental dual pricing recomputes only stale entries but in the same
-   summation order as the naive path, so (for a fixed LP engine) the whole
-   column-generation trajectory — objective, rounds, generated columns —
-   must be bitwise identical; likewise fanning the demand oracles across
-   domains must change nothing. *)
+   summation order as the naive path, so the whole column-generation
+   trajectory — objective, rounds, generated columns — must be bitwise
+   identical; likewise fanning the demand oracles across domains must change
+   nothing. *)
 let test_oracle_pricing_parity () =
   List.iter
     (fun inst ->
-      let run ~pricing ~domains =
-        Oracle.solve ~engine:Sa_lp.Model.Revised_sparse ~pricing ~domains inst
-      in
+      let run ~pricing ~domains = Oracle.solve ~pricing ~domains inst in
       let f_naive, s_naive = run ~pricing:Oracle.Naive ~domains:1 in
       let f_inc, s_inc = run ~pricing:Oracle.Incremental ~domains:1 in
       let f_par, s_par = run ~pricing:Oracle.Incremental ~domains:4 in
@@ -513,7 +561,7 @@ let suite =
     Alcotest.test_case "LP optimum self-feasible" `Quick test_lp_solution_feasible;
     Alcotest.test_case "zeroed bidder lowers LP" `Quick test_lp_zeroed_bidder;
     Alcotest.test_case "Observation 2: scaling keeps feasibility" `Quick test_lp_scale;
-    Alcotest.test_case "LP engines agree on auction LPs" `Quick test_lp_engines_agree;
+    QCheck_alcotest.to_alcotest prop_lp_engines_agree;
     Alcotest.test_case "algorithm1 feasibility" `Quick test_algorithm1_feasible;
     Alcotest.test_case "algorithm1 expectation bound (Thm 3)" `Slow test_algorithm1_expectation;
     Alcotest.test_case "rounding below LP optimum" `Quick test_solve_never_worse_than_bound_needed;

@@ -141,6 +141,15 @@ let test_exact_budget_exhausted () =
 
 (* ---------- Simplex boundary cases ----------------------------------------- *)
 
+(* Each case runs on the revised simplex and on the test-side tableau. *)
+let engines =
+  [
+    ("revised", fun ?max_iters p -> Sa_lp.Revised.solve ?max_iters p);
+    ("tableau", fun ?max_iters p -> Dense_tableau.solve ?max_iters p);
+  ]
+
+let on_engines f = List.iter (fun (name, solve) -> f name solve) engines
+
 let test_simplex_iteration_limit () =
   let p =
     {
@@ -149,9 +158,10 @@ let test_simplex_iteration_limit () =
       rows = [| ([| 1.0; 1.0 |], Simplex.Le, 10.0); ([| 1.0; 0.0 |], Simplex.Le, 5.0) |];
     }
   in
-  let s = Simplex.solve ~max_iters:1 p in
-  Alcotest.(check bool) "hits iteration limit" true
-    (s.Simplex.status = Simplex.Iteration_limit)
+  on_engines (fun name solve ->
+      let s = solve ~max_iters:1 p in
+      Alcotest.(check bool) (name ^ " hits iteration limit") true
+        (s.Simplex.status = Simplex.Iteration_limit))
 
 let test_simplex_empty_objective () =
   (* all-zero objective: optimal trivially, value 0 *)
@@ -162,9 +172,10 @@ let test_simplex_empty_objective () =
       rows = [| ([| 1.0 |], Simplex.Le, 1.0) |];
     }
   in
-  let s = Simplex.solve p in
-  Alcotest.(check bool) "optimal" true (s.Simplex.status = Simplex.Optimal);
-  Alcotest.(check (float 1e-12)) "zero" 0.0 s.Simplex.objective
+  on_engines (fun name solve ->
+      let s = solve p in
+      Alcotest.(check bool) (name ^ " optimal") true (s.Simplex.status = Simplex.Optimal);
+      Alcotest.(check (float 1e-12)) (name ^ " zero") 0.0 s.Simplex.objective)
 
 let test_simplex_equality_infeasible () =
   let p =
@@ -174,8 +185,10 @@ let test_simplex_equality_infeasible () =
       rows = [| ([| 1.0 |], Simplex.Eq, 2.0); ([| 1.0 |], Simplex.Eq, 3.0) |];
     }
   in
-  let s = Simplex.solve p in
-  Alcotest.(check bool) "infeasible" true (s.Simplex.status = Simplex.Infeasible)
+  on_engines (fun name solve ->
+      let s = solve p in
+      Alcotest.(check bool) (name ^ " infeasible") true
+        (s.Simplex.status = Simplex.Infeasible))
 
 let test_model_row_bounds () =
   let m = Model.create Simplex.Maximize in

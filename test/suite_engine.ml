@@ -81,12 +81,11 @@ let test_warm_basis_garbage_degrades_to_cold () =
 let test_warm_lp_matches_cold () =
   (* Cold-solve an instance, revalue its bids (same shape fingerprint), then
      solve the revalued LP cold and from the cached basis: objectives agree
-     within the project tolerance and both solutions satisfy the LP. *)
+     with each other and with the dense tableau reference within the
+     project tolerance, and both solutions satisfy the LP. *)
   for seed = 1 to 6 do
     let inst = Workloads.protocol_instance ~seed ~n:14 ~k:3 () in
-    let _, stats0 =
-      Lp.solve_explicit_stats ~engine:Sa_lp.Model.Revised_sparse inst
-    in
+    let _, stats0 = Lp.solve_explicit_stats inst in
     let basis =
       match stats0.Lp.basis with
       | Some b -> b
@@ -96,15 +95,18 @@ let test_warm_lp_matches_cold () =
     Alcotest.(check string) "revalue keeps shape"
       (Serialize.shape_fingerprint inst)
       (Serialize.shape_fingerprint jittered);
-    let cold, _ = Lp.solve_explicit_stats ~engine:Sa_lp.Model.Revised_sparse jittered in
-    let warm, wstats =
-      Lp.solve_explicit_stats ~engine:Sa_lp.Model.Revised_sparse ~warm_start:basis
-        jittered
-    in
+    let cold, _ = Lp.solve_explicit_stats jittered in
+    let warm, wstats = Lp.solve_explicit_stats ~warm_start:basis jittered in
     Alcotest.(check bool) "warm start used" true wstats.Lp.warm_start_used;
     if not (Floats.approx_eq cold.Lp.objective warm.Lp.objective) then
       Alcotest.failf "seed %d: cold %.9f <> warm %.9f" seed cold.Lp.objective
         warm.Lp.objective;
+    let reference =
+      Dense_tableau.solve (Dense_tableau.problem_of_model (fst (Lp.stage jittered)))
+    in
+    if not (Floats.approx_eq reference.Simplex.objective cold.Lp.objective) then
+      Alcotest.failf "seed %d: tableau %.9f <> revised %.9f" seed
+        reference.Simplex.objective cold.Lp.objective;
     Alcotest.(check bool) "cold LP-feasible" true (Lp.is_lp_feasible jittered cold);
     Alcotest.(check bool) "warm LP-feasible" true (Lp.is_lp_feasible jittered warm)
   done
@@ -189,13 +191,22 @@ let test_workload_round_trip () =
   Alcotest.(check bool) "specs survive the file format" true (back = specs)
 
 let test_workload_rejects_malformed () =
-  let bad text = try ignore (Workload.of_string text); false with Failure _ -> true in
-  Alcotest.(check bool) "bad header" true (bad "nonsense 1\nend\n");
-  Alcotest.(check bool) "missing end" true (bad "specauction-workload 1\n");
-  Alcotest.(check bool) "bad model" true
-    (bad "specauction-workload 1\nbatch model=cubic n=4 k=2\nend\n");
-  Alcotest.(check bool) "missing n" true
-    (bad "specauction-workload 1\nbatch model=protocol k=2\nend\n")
+  (* every malformed input is a structured [Malformed_job] naming its line *)
+  let rejected what text ~line =
+    match Workload.of_string text with
+    | exception Sa_util.Fail.Error (Sa_util.Fail.Malformed_job { detail }) ->
+        let prefix = Printf.sprintf "line %d: " line in
+        if not (String.starts_with ~prefix detail) then
+          Alcotest.failf "%s: detail %S does not start with %S" what detail prefix
+    | _ -> Alcotest.failf "%s: malformed input accepted" what
+  in
+  rejected "bad header" "nonsense 1\nend\n" ~line:1;
+  rejected "empty input" "" ~line:1;
+  rejected "comments only" "# nothing here\n" ~line:2;
+  rejected "missing end" "specauction-workload 1\n" ~line:2;
+  rejected "bad model" "specauction-workload 1\nbatch model=cubic n=4 k=2\nend\n" ~line:2;
+  rejected "missing n" "specauction-workload 1\nbatch model=protocol k=2\nend\n" ~line:2;
+  rejected "missing k" "specauction-workload 1\n\nbatch foo=bar\nend\n" ~line:3
 
 (* ---------- Parallel.map_array ------------------------------------------- *)
 

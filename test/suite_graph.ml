@@ -214,6 +214,48 @@ let test_check_bounds () =
   Alcotest.(check bool) "bound 2 fails" false
     (Inductive.check_unweighted_bound g pi ~rho:2 [ 0; 1; 2 ])
 
+(* Ordering search for arbitrary edge-weighted graphs: repeatedly place
+   *last*, among the remaining vertices, the one whose backward
+   independent-set mass (Definition 2, restricted to the remaining set) is
+   smallest — the weighted generalisation of the degeneracy ordering, a
+   heuristic for small ρ(π).  Inner maxima are computed by branch and bound
+   under [node_limit] (default 20_000 per step), falling back to greedy.
+   No interference model needs it (each supplies its own π), so it lives
+   here next to its two tests. *)
+let greedy_weighted_ordering ?(node_limit = 20_000) wg =
+  let size = Weighted.n wg in
+  let remaining = Array.make size true in
+  let positions = Array.make size (-1) in
+  (* Mass a vertex would see if placed last among the current remaining
+     set: max over independent subsets of the remaining candidates of the
+     incoming symmetrised weight. *)
+  let backward_mass v =
+    let candidates =
+      List.init size Fun.id
+      |> List.filter (fun u -> remaining.(u) && u <> v && Weighted.wbar wg u v > 0.0)
+      |> Array.of_list
+    in
+    if Array.length candidates = 0 then 0.0
+    else
+      let profit u = Weighted.wbar wg u v in
+      (Indep.max_profit_weighted ~node_limit wg ~candidates ~profit).Indep.value
+  in
+  for pos = size - 1 downto 0 do
+    let best = ref (-1) and best_mass = ref infinity in
+    for v = 0 to size - 1 do
+      if remaining.(v) then begin
+        let mass = backward_mass v in
+        if mass < !best_mass then begin
+          best_mass := mass;
+          best := v
+        end
+      end
+    done;
+    positions.(pos) <- !best;
+    remaining.(!best) <- false
+  done;
+  Ordering.of_order positions
+
 let test_greedy_weighted_ordering () =
   (* Weighted star: all weight flows into vertex 0 from the leaves.  The
      greedy ordering should place vertex 0 early (few backward neighbours)
@@ -223,7 +265,7 @@ let test_greedy_weighted_ordering () =
   for u = 1 to n - 1 do
     Weighted.set wg u 0 0.3
   done;
-  let pi = Inductive.greedy_weighted_ordering wg in
+  let pi = greedy_weighted_ordering wg in
   let rho_greedy = (Inductive.rho_weighted wg pi).Inductive.rho in
   (* centre-last identity ordering would pay ~0.9 (three 0.3-leaves form an
      independent set into 0)... compare against the worst ordering: centre
@@ -240,7 +282,7 @@ let prop_greedy_ordering_not_worse_than_random =
     (fun seed ->
       let g = Prng.create ~seed in
       let wg = Generators.random_weighted g ~n:10 ~density:0.4 ~scale:0.5 in
-      let greedy_pi = Inductive.greedy_weighted_ordering wg in
+      let greedy_pi = greedy_weighted_ordering wg in
       let random_pi = Ordering.of_order (Prng.permutation g 10) in
       let r_g = (Inductive.rho_weighted wg greedy_pi).Inductive.rho in
       let r_r = (Inductive.rho_weighted wg random_pi).Inductive.rho in

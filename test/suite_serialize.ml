@@ -114,18 +114,28 @@ let test_file_roundtrip () =
         (instances_equal inst (Serialize.load_instance path)))
 
 let test_malformed_rejected () =
-  let check_fails name s =
-    match Serialize.instance_of_string s with
-    | exception Failure _ -> ()
-    | _ -> Alcotest.failf "%s: malformed input accepted" name
+  (* every malformed input is a structured [Malformed_job] naming its line *)
+  let check_fails name ?(parse = fun s -> ignore (Serialize.instance_of_string s)) s
+      ~line =
+    match parse s with
+    | exception Sa_util.Fail.Error (Sa_util.Fail.Malformed_job { detail }) ->
+        let prefix = Printf.sprintf "line %d: " line in
+        if not (String.starts_with ~prefix detail) then
+          Alcotest.failf "%s: detail %S does not start with %S" name detail prefix
+    | () -> Alcotest.failf "%s: malformed input accepted" name
   in
-  check_fails "empty" "";
-  check_fails "bad header" "nonsense 1\n";
-  check_fails "bad version" "specauction-instance 99\n";
-  check_fails "truncated"
-    "specauction-instance 1\nn 2 k 1 rho 1\nordering 0 1\nconflict unweighted\n";
+  let header = "specauction-instance 1\nn 2 k 1 rho 1\n" in
+  check_fails "empty" "" ~line:1;
+  check_fails "blank lines only" "\n\n" ~line:3;
+  check_fails "bad header" "nonsense 1\n" ~line:1;
+  check_fails "bad version" "specauction-instance 99\n" ~line:1;
+  check_fails "truncated" (header ^ "ordering 0 1\nconflict unweighted\n") ~line:5;
   check_fails "bad edge"
-    "specauction-instance 1\nn 2 k 1 rho 1\nordering 0 1\nconflict unweighted\nedge 0 x\nend\nend\n"
+    (header ^ "ordering 0 1\nconflict unweighted\nedge 0 x\nend\nend\n")
+    ~line:5;
+  check_fails "not a permutation" (header ^ "ordering 0 0\n") ~line:3;
+  check_fails "bad allocation header" "specauction-allocation 1\nn x\n" ~line:2
+    ~parse:(fun s -> ignore (Serialize.allocation_of_string s))
 
 let prop_roundtrip_random =
   QCheck.Test.make ~name:"serialize roundtrip (random protocol instances)"

@@ -188,12 +188,12 @@ let prop_stage_matches_reference =
       if not (same_spec spec spec_ref) then fail "%s seed %d: specs differ" what seed;
       true)
 
-(* Both models through the same engine: every primal value, dual, the
+(* Both models through the revised simplex: every primal value, dual, the
    objective and the pivot count must agree bit for bit; the production
    [solve_explicit_stats] must report the reference's columns. *)
-let compare_solves ~what ~seed ~engine m m_ref =
-  let r = Model.solve_with_basis ~engine ~workspace:(Workspace.create ()) m in
-  let r_ref = Model.solve_with_basis ~engine ~workspace:(Workspace.create ()) m_ref in
+let compare_solves ~what ~seed m m_ref =
+  let r = Model.solve_with_basis ~workspace:(Workspace.create ()) m in
+  let r_ref = Model.solve_with_basis ~workspace:(Workspace.create ()) m_ref in
   let s = r.Model.solution and s_ref = r_ref.Model.solution in
   if s.Model.status <> s_ref.Model.status then fail "%s seed %d: status differs" what seed;
   if not (same_float s.Model.objective s_ref.Model.objective) then
@@ -212,6 +212,20 @@ let compare_solves ~what ~seed ~engine m m_ref =
   if it <> it_ref then fail "%s seed %d: %d pivots vs %d" what seed it it_ref;
   r_ref
 
+(* Both models through the test-side dense tableau: bit for bit the same
+   solution. *)
+let compare_dense ~what ~seed m m_ref =
+  let solve m = Dense_tableau.solve (Dense_tableau.problem_of_model m) in
+  let d = solve m and d_ref = solve m_ref in
+  let same_floats a b = Array.length a = Array.length b && Array.for_all2 same_float a b in
+  if
+    d.Sa_lp.Simplex.status <> d_ref.Sa_lp.Simplex.status
+    || (not (same_float d.Sa_lp.Simplex.objective d_ref.Sa_lp.Simplex.objective))
+    || (not (same_floats d.Sa_lp.Simplex.x d_ref.Sa_lp.Simplex.x))
+    || not (same_floats d.Sa_lp.Simplex.duals d_ref.Sa_lp.Simplex.duals)
+  then fail "%s seed %d: tableau solutions differ" what seed;
+  d_ref
+
 let prop_solve_matches_reference =
   QCheck.Test.make ~count:80
     ~name:"explicit LP solve = all-column reference (x, duals, objective, pivots)"
@@ -219,12 +233,17 @@ let prop_solve_matches_reference =
       let what, inst, zeroed, _ = random_instance seed in
       let m, _ = Lp.stage ~zeroed inst in
       let m_ref, vars_ref = Lp_reference.stage ~zeroed inst in
-      ignore (compare_solves ~what ~seed ~engine:Model.Dense_tableau m m_ref);
-      let r_ref = compare_solves ~what ~seed ~engine:Model.Revised_sparse m m_ref in
+      let d_ref = compare_dense ~what ~seed m m_ref in
+      let r_ref = compare_solves ~what ~seed m m_ref in
       let s_ref = r_ref.Model.solution in
-      let frac, stats =
-        Lp.solve_explicit_stats ~engine:Model.Revised_sparse ~zeroed inst
-      in
+      let d_obj = d_ref.Sa_lp.Simplex.objective in
+      if
+        Float.abs (d_obj -. s_ref.Model.objective)
+        > Sa_lp.Tol.cert_eps *. (1.0 +. Float.abs d_obj)
+      then
+        fail "%s seed %d: tableau %.9g vs revised %.9g" what seed d_obj
+          s_ref.Model.objective;
+      let frac, stats = Lp.solve_explicit_stats ~zeroed inst in
       let want =
         Array.to_list vars_ref
         |> List.mapi (fun var (bidder, bundle) -> (bidder, bundle, s_ref.Model.value var))
@@ -272,7 +291,7 @@ let prop_feasibility_matches_reference =
     (fun seed ->
       let what, inst, zeroed, g = random_instance seed in
       let n = Instance.n inst and k = inst.Instance.k in
-      let frac = Lp.solve_explicit ~engine:Model.Revised_sparse ~zeroed inst in
+      let frac = Lp.solve_explicit ~zeroed inst in
       let column () =
         {
           Lp.bidder = Prng.int g n;
@@ -355,7 +374,7 @@ let prop_colgen_matches_explicit =
         || s_naive.Oracle.columns_generated <> s_inc.Oracle.columns_generated
         || s_naive.Oracle.iterations <> s_inc.Oracle.iterations
       then fail "%s seed %d: incremental pricing diverged from naive" what seed;
-      let explicit = Lp.solve_explicit ~engine:Model.Revised_sparse inst in
+      let explicit = Lp.solve_explicit inst in
       let scale = 1.0 +. Float.abs explicit.Lp.objective in
       if Float.abs (f_inc.Lp.objective -. explicit.Lp.objective) > 1e-6 *. scale then
         fail "%s seed %d: colgen %.9g vs explicit %.9g" what seed f_inc.Lp.objective

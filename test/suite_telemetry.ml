@@ -228,7 +228,7 @@ let test_well_known_schema () =
       if Metrics.find_counter view name = None then
         Alcotest.fail (name ^ " not pre-registered"))
     [
-      "lp.simplex.pivots"; "lp.revised.pivots"; "core.colgen.oracle_calls";
+      "lp.revised.solves"; "lp.revised.pivots"; "core.colgen.oracle_calls";
       "core.rounding.trials"; "core.derand.candidates"; "graph.rho.estimates";
       "engine.topology.hits"; "engine.basis.lookups";
     ]
