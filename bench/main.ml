@@ -16,10 +16,11 @@
 
    A second group, `bench kernels` (dune exec bench/main.exe -- kernels),
    times the sparse hot-path kernels: bitset-vs-matrix graph queries, a
-   certified eta-file LP solve, and the full colgen+rounding pipeline with
-   naive vs incremental dual pricing and 1-vs-N domains, writing
-   BENCH_kernels.json.  Flags: --quick (small instance), --domains N,
-   --kernels-out PATH.
+   certified eta-file LP solve, warm re-solves on a reused vs a fresh
+   workspace arena (bitwise parity and allocation ratio), and the full
+   colgen+rounding pipeline with naive vs incremental dual pricing and
+   1-vs-N domains, writing BENCH_kernels.json.  Flags: --quick (small
+   instance), --domains N, --kernels-out PATH.
 
    A third group, `bench construction` (dune exec bench/main.exe --
    construction), compares the grid-based instance constructors against
@@ -255,7 +256,7 @@ let engine_bench ~quick ~out =
   ignore (run ~warm_start:false ~domains:1);
   let cold, cold_ctr = run ~warm_start:false ~domains:1 in
   let warm, warm_ctr = run ~warm_start:true ~domains:1 in
-  let domains = Sa_core.Parallel.default_domains in
+  let domains = Sa_core.Pool.default_domains in
   let warm_par, warm_par_ctr = run ~warm_start:true ~domains in
   let ratio a b = if b > 0.0 then a /. b else Float.nan in
   let lp_speedup = ratio cold.Engine.lp_seconds warm.Engine.lp_seconds in
@@ -300,6 +301,8 @@ let engine_bench ~quick ~out =
 (* ---- kernels: sparse hot paths vs dense references ----------------------- *)
 
 module Simplex = Sa_lp.Simplex
+module Revised = Sa_lp.Revised
+module Workspace = Sa_lp.Workspace
 
 (* Naive dense adjacency reference (the pre-bitset representation), kept
    here so the micro-benchmark always compares against the same baseline
@@ -399,7 +402,7 @@ let kernels_graph_micro ~quick =
 
 (* LP(1)-shaped packing problem: unit rows + interference rows.  1200x1000
    at full size (nb=200, k=5); shared by the lp micro-benchmark and the
-   pricing group so both measure the same instance. *)
+   workspace-reuse case so both measure the same instance. *)
 let packing_problem ~quick =
   let g = Prng.create ~seed:13 in
   let nb = if quick then 60 else 200 in
@@ -428,7 +431,7 @@ let kernels_lp_micro ~quick =
   let rows = Array.length p.Simplex.rows in
   let (eta_sol, eta_ctr), eta_s =
     Sa_util.Timing.time (fun () ->
-        with_counter_delta (fun () -> Sa_lp.Revised.solve p))
+        with_counter_delta (fun () -> Revised.solve p))
   in
   let certified = (Sa_lp.Certify.check p eta_sol).Sa_lp.Certify.certified in
   Printf.printf "  lp     %dx%d packing: eta %.4fs  (certified=%b)\n" rows ncols
@@ -439,25 +442,84 @@ let kernels_lp_micro ~quick =
     rows ncols eta_s eta_sol.Simplex.objective certified
     (Export.counters_to_json eta_ctr)
 
-let kernels_pipeline ~quick ~domains =
-  let n, k, max_rounds = if quick then (200, 2, 8) else (400, 8, 8) in
-  Printf.printf "  building protocol instance n=%d k=%d...\n%!" n k;
-  (* Xor_heavy: bidders re-demand different bundles as prices rise, so the
-     column generation actually iterates (several master re-solves with
-     warm starts) instead of converging in one round. *)
-  let inst =
-    Workloads.protocol_instance ~seed:17 ~n ~k ~profile:Workloads.Xor_heavy ()
-  in
-  let run name ~pricing ~dom =
-    let alloc0 = Gc.allocated_bytes () in
-    let ((frac, stats, alloc), ctr), seconds =
-      Sa_util.Timing.time (fun () ->
-          with_counter_delta (fun () ->
-              let frac, stats = Oracle.solve ~max_rounds ~pricing ~domains:dom inst in
-              let alloc = Rounding.solve_par ~domains:dom ~trials:8 ~seed:23 inst frac in
-              (frac, stats, alloc)))
+(* Colgen-style warm re-solves of the same master LP: solve once cold for
+   the optimal basis, then re-solve [reps] times warm-started from it —
+   once sharing a single arena (the oracle-solver pattern) and once with a
+   fresh arena per re-solve (the pre-workspace behaviour). *)
+let kernels_workspace_reuse p ~reps =
+  let run ~shared =
+    let arena = Workspace.create () in
+    let _, basis, _ = Revised.solve_warm ~workspace:arena p in
+    let basis =
+      match basis with
+      | Some b -> b
+      | None -> failwith "kernels bench: packing LP did not reach optimality"
     in
-    let alloc_bytes = Gc.allocated_bytes () -. alloc0 in
+    let objs = Array.make reps 0.0 in
+    let x0 = ref [||] in
+    let alloc0 = Gc.allocated_bytes () in
+    let (), seconds =
+      Sa_util.Timing.time (fun () ->
+          for i = 0 to reps - 1 do
+            let ws = if shared then arena else Workspace.create () in
+            let sol, _, _ =
+              Revised.solve_warm ~warm_start:basis ~workspace:ws p
+            in
+            objs.(i) <- sol.Simplex.objective;
+            if i = 0 then x0 := sol.Simplex.x
+          done)
+    in
+    let per_solve = (Gc.allocated_bytes () -. alloc0) /. float_of_int reps in
+    (per_solve, seconds /. float_of_int reps, objs, !x0)
+  in
+  let fresh_b, fresh_s, fresh_objs, fresh_x = run ~shared:false in
+  let reuse_b, reuse_s, reuse_objs, reuse_x = run ~shared:true in
+  let bitwise = fresh_objs = reuse_objs && fresh_x = reuse_x in
+  let alloc_ratio = if reuse_b > 0.0 then fresh_b /. reuse_b else Float.nan in
+  Printf.printf
+    "  lp     re-solve x%d: fresh %10.0f B  %8.1f us   reuse %10.0f B  %8.1f us  \
+     (%.1fx less alloc, bitwise %b)\n%!"
+    reps fresh_b (fresh_s *. 1e6) reuse_b (reuse_s *. 1e6) alloc_ratio bitwise;
+  Printf.sprintf
+    "{\"resolves\":%d,\"fresh_alloc_bytes_per_solve\":%.0f,\
+     \"fresh_seconds_per_solve\":%.9f,\"reuse_alloc_bytes_per_solve\":%.0f,\
+     \"reuse_seconds_per_solve\":%.9f,\"alloc_ratio_fresh_over_reuse\":%.3f,\
+     \"bitwise_equal\":%b}"
+    reps fresh_b fresh_s reuse_b reuse_s alloc_ratio bitwise
+
+let kernels_pipeline ~quick ~domains =
+  let n, k, max_rounds = if quick then (200, 10, 8) else (400, 12, 8) in
+  Printf.printf "  building protocol instance n=%d k=%d...\n%!" n k;
+  (* Mixed bidding languages: prices move between rounds, so the column
+     generation iterates (several warm-started master re-solves), and the
+     budget-additive bidders' demand oracles enumerate 2^k bundles, so the
+     per-round oracle calls — the part [domains] fans out — outweigh the
+     serial master solves and the pool's hand-off cost. *)
+  let inst =
+    Workloads.protocol_instance ~seed:17 ~n ~k ~profile:Workloads.Mixed ()
+  in
+  (* fastest of three passes: one pass is a few hundred ms on a shared
+     host, where a single timing is too noisy to compare domain counts *)
+  let reps = 3 in
+  let run name ~pricing ~dom =
+    let pass () =
+      let alloc0 = Gc.allocated_bytes () in
+      let ((frac, stats, alloc), ctr), seconds =
+        Sa_util.Timing.time (fun () ->
+            with_counter_delta (fun () ->
+                let frac, stats = Oracle.solve ~max_rounds ~pricing ~domains:dom inst in
+                let alloc = Rounding.solve_par ~domains:dom ~trials:8 ~seed:23 inst frac in
+                (frac, stats, alloc)))
+      in
+      (frac, stats, alloc, ctr, seconds, Gc.allocated_bytes () -. alloc0)
+    in
+    let best = ref (pass ()) in
+    for _ = 2 to reps do
+      let ((_, _, _, _, seconds, _) as p) = pass () in
+      let _, _, _, _, best_s, _ = !best in
+      if seconds < best_s then best := p
+    done;
+    let frac, stats, alloc, ctr, seconds, alloc_bytes = !best in
     Printf.printf
       "  %-22s %8.3fs  lp-obj %10.4f  welfare %10.4f  cols %4d  rounds %2d\n%!"
       name seconds frac.Lp.objective
@@ -502,6 +564,9 @@ let kernels_bench ~quick ~out ~domains =
     domains;
   let graph_json = kernels_graph_micro ~quick in
   let lp_json = kernels_lp_micro ~quick in
+  let workspace_json =
+    kernels_workspace_reuse (packing_problem ~quick) ~reps:(if quick then 5 else 20)
+  in
   let pipeline_json = kernels_pipeline ~quick ~domains in
   let json =
     Bench_util.group_json ~name:"kernels" ~quick
@@ -509,6 +574,7 @@ let kernels_bench ~quick ~out ~domains =
         ("domains", string_of_int domains);
         ("graph", graph_json);
         ("lp", lp_json);
+        ("workspace", workspace_json);
         ("pipeline", pipeline_json);
       ]
   in
@@ -827,9 +893,9 @@ let observability_bench ~quick ~out =
 
 (* ---- scheduler: persistent pool vs spawn-per-call fan-out ------------------ *)
 
-module Fanout = Sa_core.Fanout
+module Pool = Sa_core.Pool
 
-(* The pre-pool [Fanout.map_array] (spawn d-1 domains per call, static
+(* The pre-pool fan-out (spawn d-1 domains per call, static
    striding, option-boxed results), kept verbatim here so the baseline
    stays fixed regardless of how lib/core evolves. *)
 let spawn_map_array ~domains f arr =
@@ -869,7 +935,7 @@ let scheduler_small_batch ~quick ~domains =
   let expected = Array.map f arr in
   (* throwaway: warm up code paths and park the pool workers *)
   ignore (spawn_map_array ~domains f arr);
-  ignore (Fanout.map_array ~domains f arr);
+  ignore (Pool.map_array ~domains f arr);
   let parity = ref true in
   let time_calls map =
     let (), s =
@@ -881,7 +947,7 @@ let scheduler_small_batch ~quick ~domains =
     s *. 1e6 /. float_of_int calls
   in
   let spawn_us = time_calls (fun f a -> spawn_map_array ~domains f a) in
-  let pool_us = time_calls (fun f a -> Fanout.map_array ~domains f a) in
+  let pool_us = time_calls (fun f a -> Pool.map_array ~domains f a) in
   let speedup = if pool_us > 0.0 then spawn_us /. pool_us else Float.nan in
   Printf.printf
     "  small-batch x%d (n=%d, d=%d): spawn %8.1f us/call  pool %8.1f us/call  \
@@ -909,7 +975,7 @@ let scheduler_skewed ~quick ~domains =
   let arr = Array.init n Fun.id in
   let expected = Array.map f arr in
   ignore (spawn_map_array ~domains f arr);
-  ignore (Fanout.map_array ~domains f arr);
+  ignore (Pool.map_array ~domains f arr);
   let parity = ref true in
   let reps = 3 in
   let time_min map =
@@ -923,8 +989,8 @@ let scheduler_skewed ~quick ~domains =
     !best
   in
   let static_s = time_min (fun f a -> spawn_map_array ~domains f a) in
-  let adaptive_s = time_min (fun f a -> Fanout.map_array ~domains f a) in
-  let chunk1_s = time_min (fun f a -> Fanout.map_array ~domains ~chunk:1 f a) in
+  let adaptive_s = time_min (fun f a -> Pool.map_array ~domains f a) in
+  let chunk1_s = time_min (fun f a -> Pool.map_array ~domains ~chunk:1 f a) in
   let ratio = if adaptive_s > 0.0 then static_s /. adaptive_s else Float.nan in
   Printf.printf
     "  skewed n=%d (d=%d): static-stride %.4fs  pool-adaptive %.4fs  \
@@ -1032,343 +1098,6 @@ let scheduler_bench ~quick ~out ~domains =
   in
   Bench_util.write_out ~out json
 
-(* ---- pricing: devex vs Dantzig + workspace reuse vs fresh ------------------ *)
-
-module Revised = Sa_lp.Revised
-module Workspace = Sa_lp.Workspace
-
-(* One cold solve of the packing LP under a pricing rule: pivots, wall
-   time, allocation, certification.  A throwaway solve first warms up code
-   paths and the domain arena, so the measured pass shows steady-state
-   allocation. *)
-let pricing_rule_case p ~pricing ~label =
-  ignore (Revised.solve_warm ~pricing p);
-  let alloc0 = Gc.allocated_bytes () in
-  let ((sol, _basis, stats), ctr), seconds =
-    Sa_util.Timing.time (fun () ->
-        with_counter_delta (fun () -> Revised.solve_warm ~pricing p))
-  in
-  let alloc_bytes = Gc.allocated_bytes () -. alloc0 in
-  let certified = (Sa_lp.Certify.check p sol).Sa_lp.Certify.certified in
-  Printf.printf "  %-8s %8.4fs  %6d pivots  obj %12.6f  certified %b\n%!" label
-    seconds stats.Revised.iterations sol.Simplex.objective certified;
-  let json =
-    Printf.sprintf
-      "{\"pivots\":%d,\"seconds\":%.6f,\"objective\":%.9f,\
-       \"alloc_bytes\":%.0f,\"certified\":%b,\"counters\":%s}"
-      stats.Revised.iterations seconds sol.Simplex.objective alloc_bytes
-      certified
-      (Export.counters_to_json ctr)
-  in
-  (json, stats.Revised.iterations, sol, certified)
-
-(* Colgen-style warm re-solves of the same master LP: solve once cold for
-   the optimal basis, then re-solve [reps] times warm-started from it —
-   once sharing a single arena (the oracle-solver pattern) and once with a
-   fresh arena per re-solve (the pre-workspace behaviour). *)
-let pricing_workspace_case p ~reps =
-  let run ~shared =
-    let arena = Workspace.create () in
-    let _, basis, _ = Revised.solve_warm ~workspace:arena p in
-    let basis =
-      match basis with
-      | Some b -> b
-      | None -> failwith "pricing bench: packing LP did not reach optimality"
-    in
-    let objs = Array.make reps 0.0 in
-    let x0 = ref [||] in
-    let alloc0 = Gc.allocated_bytes () in
-    let (), seconds =
-      Sa_util.Timing.time (fun () ->
-          for i = 0 to reps - 1 do
-            let ws = if shared then arena else Workspace.create () in
-            let sol, _, _ =
-              Revised.solve_warm ~warm_start:basis ~workspace:ws p
-            in
-            objs.(i) <- sol.Simplex.objective;
-            if i = 0 then x0 := sol.Simplex.x
-          done)
-    in
-    let per_solve = (Gc.allocated_bytes () -. alloc0) /. float_of_int reps in
-    (per_solve, seconds /. float_of_int reps, objs, !x0)
-  in
-  let fresh_b, fresh_s, fresh_objs, fresh_x = run ~shared:false in
-  let reuse_b, reuse_s, reuse_objs, reuse_x = run ~shared:true in
-  let bitwise = fresh_objs = reuse_objs && fresh_x = reuse_x in
-  let alloc_ratio = if reuse_b > 0.0 then fresh_b /. reuse_b else Float.nan in
-  Printf.printf
-    "  re-solve x%d: fresh %10.0f B  %8.1f us   reuse %10.0f B  %8.1f us  \
-     (%.1fx less alloc, bitwise %b)\n%!"
-    reps fresh_b (fresh_s *. 1e6) reuse_b (reuse_s *. 1e6) alloc_ratio bitwise;
-  let json =
-    Printf.sprintf
-      "{\"resolves\":%d,\"fresh_alloc_bytes_per_solve\":%.0f,\
-       \"fresh_seconds_per_solve\":%.9f,\"reuse_alloc_bytes_per_solve\":%.0f,\
-       \"reuse_seconds_per_solve\":%.9f,\"alloc_ratio_fresh_over_reuse\":%.3f,\
-       \"bitwise_equal\":%b}"
-      reps fresh_b fresh_s reuse_b reuse_s alloc_ratio bitwise
-  in
-  (json, alloc_ratio, bitwise)
-
-let pricing_bench ~quick ~out =
-  Printf.printf "pricing (%s):\n%!" (if quick then "quick" else "full");
-  let p = packing_problem ~quick in
-  let rows = Array.length p.Simplex.rows in
-  let cols = Array.length p.Simplex.c in
-  Printf.printf "  %dx%d packing LP\n%!" rows cols;
-  let d_json, d_pivots, d_sol, d_cert =
-    pricing_rule_case p ~pricing:Revised.Dantzig ~label:"dantzig"
-  in
-  let x_json, x_pivots, x_sol, x_cert =
-    pricing_rule_case p ~pricing:Revised.Devex ~label:"devex"
-  in
-  let savings =
-    1.0 -. (float_of_int x_pivots /. float_of_int (max 1 d_pivots))
-  in
-  let obj_delta = Float.abs (d_sol.Simplex.objective -. x_sol.Simplex.objective) in
-  let parity =
-    d_cert && x_cert
-    && obj_delta <= 1e-6 *. (1.0 +. Float.abs d_sol.Simplex.objective)
-  in
-  Printf.printf
-    "  devex pivot savings: %.1f%%   objective delta %.2e   parity %b\n%!"
-    (100.0 *. savings) obj_delta parity;
-  let ws_json, alloc_ratio, ws_bitwise =
-    pricing_workspace_case p ~reps:(if quick then 5 else 20)
-  in
-  ignore (alloc_ratio, ws_bitwise);
-  let json =
-    Bench_util.group_json ~name:"pricing" ~quick
-      [
-        ("rows", string_of_int rows);
-        ("cols", string_of_int cols);
-        ("dantzig", d_json);
-        ("devex", x_json);
-        ("devex_pivot_savings", Printf.sprintf "%.4f" savings);
-        ("objective_delta", Printf.sprintf "%.9f" obj_delta);
-        ("certified_parity", string_of_bool parity);
-        ("workspace", ws_json);
-      ]
-  in
-  Bench_util.write_out ~out json
-
-(* ---- presolve: reduction/scaling pipeline in front of the simplex --------- *)
-
-module Presolve = Sa_lp.Presolve
-
-(* The duplicate-heavy packing LP: the shared 1200x1000 instance plus the
-   redundancy real auction LPs accumulate across rounds — exact duplicate
-   interference rows at equal rhs (degenerate ratio-test ties), dominated
-   duplicate columns at a smaller objective coefficient (bids shaded by a
-   losing bidder), trivially satisfied empty rows, and pairs of singleton
-   bound rows where only the tighter one matters.  Presolve removes all of
-   it; the off-path simplex has to pivot through it. *)
-let presolve_problem ~quick =
-  let p = packing_problem ~quick in
-  let g = Prng.create ~seed:29 in
-  let ncols0 = Array.length p.Simplex.c in
-  let rows0 = p.Simplex.rows in
-  let m0 = Array.length rows0 in
-  (* duplicate columns copy sources from the first half of the column
-     range; singleton rows target the second half, so an injected bound
-     row never splits a duplicate pair's support. *)
-  let ndup_cols = ncols0 / 4 in
-  let src = Array.init ndup_cols (fun _ -> Prng.int g (ncols0 / 2)) in
-  let ncols = ncols0 + ndup_cols in
-  let extend a =
-    Array.init ncols (fun j ->
-        if j < ncols0 then a.(j) else a.(src.(j - ncols0)))
-  in
-  let c =
-    Array.init ncols (fun j ->
-        if j < ncols0 then p.Simplex.c.(j)
-        else 0.5 *. p.Simplex.c.(src.(j - ncols0)))
-  in
-  let base = Array.map (fun (a, rel, b) -> (extend a, rel, b)) rows0 in
-  let dup_src = Array.init (m0 / 4) (fun _ -> Prng.int g m0) in
-  let dup_rows =
-    Array.map
-      (fun srow ->
-        let (a, rel, b) = base.(srow) in
-        (Array.copy a, rel, b))
-      dup_src
-  in
-  let zero_rows =
-    Array.init (if quick then 6 else 20) (fun _ ->
-        (Array.make ncols 0.0, Simplex.Le, 1.0 +. Prng.float g 1.0))
-  in
-  let singleton_pairs =
-    Array.init (2 * if quick then 10 else 30) (fun i ->
-        let col = (ncols0 / 2) + Prng.int g (ncols0 / 2) in
-        let a = Array.make ncols 0.0 in
-        a.(col) <- 1.0;
-        (* even index: a plausibly binding bound; odd: a looser duplicate
-           of the same shape that presolve drops *)
-        (a, Simplex.Le, (if i land 1 = 0 then 1.0 else 2.0) +. Prng.float g 0.5))
-  in
-  let rows =
-    Array.concat [ base; dup_rows; zero_rows; singleton_pairs ]
-  in
-  (* power-of-two scale skew — bids and interference budgets quoted in
-     mixed units.  Presolve's equilibration undoes it losslessly; the
-     off-path simplex prices straight through it.  Duplicate rows reuse
-     their source row's factor and duplicate columns their source
-     column's, so the dedup and domination passes still fire on exact
-     patterns. *)
-  (* +-3 dyadic decades at quick size; +-2 at full, where the 1580-row
-     Dantzig path is already long enough that harsher skew tips it into
-     the Bland anti-cycling crawl and the bench stops terminating in
-     reasonable time. *)
-  let emax = if quick then 3 else 2 in
-  let pow2 () = Float.ldexp 1.0 (Prng.int g ((2 * emax) + 1) - emax) in
-  let rscale =
-    Array.init (Array.length rows) (fun i ->
-        if i >= m0 && i < m0 + Array.length dup_rows then 1.0 else pow2 ())
-  in
-  Array.iteri (fun d srow -> rscale.(m0 + d) <- rscale.(srow)) dup_src;
-  let cscale =
-    Array.init ncols (fun j -> if j < ncols0 then pow2 () else 0.0)
-  in
-  for d = 0 to ndup_cols - 1 do
-    cscale.(ncols0 + d) <- cscale.(src.(d))
-  done;
-  let c = Array.mapi (fun j cj -> cj *. cscale.(j)) c in
-  let rows =
-    Array.mapi
-      (fun i (a, rel, b) ->
-        (Array.mapi (fun j v -> v *. rscale.(i) *. cscale.(j)) a, rel,
-         b *. rscale.(i)))
-      rows
-  in
-  { Simplex.direction = Simplex.Maximize; c; rows }
-
-(* One pricing rule, presolve off vs on: one cold solve per side on a
-   fresh workspace — pivot counts are deterministic, and both sides pay
-   the same cold-code cost so the wall comparison stays fair without a
-   warm-up pass (which would double a deliberately slow off-path solve).
-   The on-side timing includes reduce + postsolve — the savings reported
-   are end-to-end, not simplex-only. *)
-let presolve_rule_case orig spec ~pricing ~label =
-  let off () =
-    let ws = Workspace.create () in
-    Revised.solve_spec ~pricing ~workspace:ws spec
-  in
-  let on () =
-    let ws = Workspace.create () in
-    match Presolve.reduce ~workspace:ws spec with
-    | None -> failwith "presolve bench: instance did not reduce"
-    | Some (reduced, pr) ->
-        let sol, _, stats = Revised.solve_spec ~pricing ~workspace:ws reduced in
-        (Presolve.postsolve pr sol, stats, Presolve.info pr, reduced)
-  in
-  let (off_sol, _, off_stats), off_s = Sa_util.Timing.time off in
-  let (on_sol, on_stats, info, reduced), on_s = Sa_util.Timing.time on in
-  let off_cert = (Sa_lp.Certify.check orig off_sol).Sa_lp.Certify.certified in
-  let on_cert = (Sa_lp.Certify.check orig on_sol).Sa_lp.Certify.certified in
-  let off_p = off_stats.Revised.iterations
-  and on_p = on_stats.Revised.iterations in
-  let pivot_savings = 1.0 -. (float_of_int on_p /. float_of_int (max 1 off_p)) in
-  let wall_savings = if off_s > 0.0 then 1.0 -. (on_s /. off_s) else 0.0 in
-  let obj_delta =
-    Float.abs (off_sol.Simplex.objective -. on_sol.Simplex.objective)
-  in
-  let parity =
-    off_cert && on_cert
-    && obj_delta <= 1e-6 *. (1.0 +. Float.abs off_sol.Simplex.objective)
-  in
-  Printf.printf
-    "  %-8s off %6d pivots %8.4fs   on %6d pivots %8.4fs  (%dx%d reduced)  \
-     pivots -%.1f%%  wall -%.1f%%  parity %b\n%!"
-    label off_p off_s on_p on_s reduced.Revised.s_m reduced.Revised.s_nstruct
-    (100.0 *. pivot_savings) (100.0 *. wall_savings) parity;
-  let json =
-    Printf.sprintf
-      "{\"off\":{\"pivots\":%d,\"seconds\":%.6f,\"objective\":%.9f,\
-       \"certified\":%b},\"on\":{\"pivots\":%d,\"seconds\":%.6f,\
-       \"objective\":%.9f,\"certified\":%b},\"pivot_savings\":%.4f,\
-       \"wall_savings\":%.4f,\"objective_delta\":%.9f,\"parity\":%b}"
-      off_p off_s off_sol.Simplex.objective off_cert on_p on_s
-      on_sol.Simplex.objective on_cert pivot_savings wall_savings obj_delta
-      parity
-  in
-  (json, info, pivot_savings, parity)
-
-(* Column generation with presolve in front of every master re-solve: the
-   masters are small and dense in useful columns, so the win here is
-   bounded — the case documents that composing presolve with warm starts
-   and incremental pricing keeps the certified optimum intact. *)
-let presolve_colgen_case ~quick =
-  let inst =
-    Workloads.protocol_instance ~seed:31 ~n:(if quick then 14 else 24)
-      ~k:(if quick then 3 else 5) ~profile:Workloads.Mixed ()
-  in
-  let run presolve () = Oracle.solve ~presolve inst in
-  ignore (run false ());
-  let (off_frac, off_stats), off_s = Sa_util.Timing.time (run false) in
-  ignore (run true ());
-  let (on_frac, on_stats), on_s = Sa_util.Timing.time (run true) in
-  let obj_delta = Float.abs (off_frac.Lp.objective -. on_frac.Lp.objective) in
-  let parity =
-    obj_delta <= 1e-6 *. (1.0 +. Float.abs off_frac.Lp.objective)
-  in
-  Printf.printf
-    "  colgen   off %4d rounds %8.4fs   on %4d rounds %8.4fs  \
-     obj delta %.2e  parity %b\n%!"
-    off_stats.Oracle.iterations off_s on_stats.Oracle.iterations on_s obj_delta
-    parity;
-  let json =
-    Printf.sprintf
-      "{\"off\":{\"rounds\":%d,\"seconds\":%.6f,\"objective\":%.9f},\
-       \"on\":{\"rounds\":%d,\"seconds\":%.6f,\"objective\":%.9f},\
-       \"objective_delta\":%.9f,\"parity\":%b}"
-      off_stats.Oracle.iterations off_s off_frac.Lp.objective
-      on_stats.Oracle.iterations on_s on_frac.Lp.objective obj_delta parity
-  in
-  (json, parity)
-
-let presolve_bench ~quick ~out =
-  Printf.printf "presolve (%s):\n%!" (if quick then "quick" else "full");
-  let p = presolve_problem ~quick in
-  let rows = Array.length p.Simplex.rows in
-  let cols = Array.length p.Simplex.c in
-  Printf.printf "  %dx%d duplicate-heavy packing LP\n%!" rows cols;
-  let spec = Revised.spec_of_problem p in
-  let d_json, info, d_savings, d_parity =
-    presolve_rule_case p spec ~pricing:Revised.Dantzig ~label:"dantzig"
-  in
-  let x_json, _, x_savings, x_parity =
-    presolve_rule_case p spec ~pricing:Revised.Devex ~label:"devex"
-  in
-  let colgen_json, colgen_parity = presolve_colgen_case ~quick in
-  let certified_parity = d_parity && x_parity && colgen_parity in
-  Printf.printf
-    "  reductions: %d rows removed (%d duplicates), %d cols removed, %d \
-     scaling passes   certified_parity %b\n%!"
-    info.Presolve.rows_removed info.Presolve.duplicates
-    info.Presolve.cols_removed info.Presolve.scaling_passes certified_parity;
-  let reduction_json =
-    Printf.sprintf
-      "{\"rows_removed\":%d,\"cols_removed\":%d,\"duplicates\":%d,\
-       \"scaling_passes\":%d}"
-      info.Presolve.rows_removed info.Presolve.cols_removed
-      info.Presolve.duplicates info.Presolve.scaling_passes
-  in
-  let json =
-    Bench_util.group_json ~name:"presolve" ~quick
-      [
-        ("rows", string_of_int rows);
-        ("cols", string_of_int cols);
-        ("reduction", reduction_json);
-        ("dantzig", d_json);
-        ("devex", x_json);
-        ("pivot_savings", Printf.sprintf "%.4f" d_savings);
-        ("devex_pivot_savings", Printf.sprintf "%.4f" x_savings);
-        ("colgen", colgen_json);
-        ("certified_parity", string_of_bool certified_parity);
-      ]
-  in
-  Bench_util.write_out ~out json
-
 (* ---- runner + textual report --------------------------------------------- *)
 
 let benchmark () =
@@ -1410,13 +1139,7 @@ let () =
   let argv = Array.to_list Sys.argv in
   let quick = List.mem "--quick" argv in
   let find_flag flag default = Bench_util.find_flag argv flag default in
-  if List.mem "pricing" argv then
-    let out = find_flag "--pricing-out" "BENCH_pricing.json" in
-    pricing_bench ~quick ~out
-  else if List.mem "presolve" argv then
-    let out = find_flag "--presolve-out" "BENCH_presolve.json" in
-    presolve_bench ~quick ~out
-  else if List.mem "construction" argv then
+  if List.mem "construction" argv then
     let out = find_flag "--construction-out" "BENCH_construction.json" in
     construction_bench ~quick ~out
   else if List.mem "resilience" argv then

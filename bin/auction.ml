@@ -200,7 +200,7 @@ let print_telemetry_summary (snap : Metrics.view) =
     (c "engine.basis.hits") (c "engine.basis.lookups")
 
 let run_serve () workload demo domains pool_chunk no_warm no_column_pool
-    pricing presolve json_out metrics_out prom_out fault_rate fault_seed
+    json_out metrics_out prom_out fault_rate fault_seed
     deadline_ms pivot_budget max_retries no_fallback results_out listen
     trace_out events_out =
   let specs =
@@ -222,8 +222,7 @@ let run_serve () workload demo domains pool_chunk no_warm no_column_pool
   let policy =
     Engine.policy
       ?deadline_s:(Option.map (fun ms -> ms /. 1e3) deadline_ms)
-      ?pivot_budget ~max_retries ~fallback:(not no_fallback) ?faults
-      ~lp_pricing:pricing ~lp_presolve:presolve ()
+      ?pivot_budget ~max_retries ~fallback:(not no_fallback) ?faults ()
   in
   (match pool_chunk with
   | Some c when c < 1 ->
@@ -281,13 +280,10 @@ let run_serve () workload demo domains pool_chunk no_warm no_column_pool
   if trace_out <> None then Trace.set_capacity (max (Trace.capacity ()) 65536);
   let jobs = Workload.expand engine specs in
   Printf.printf
-    "serve: %d batches -> %d jobs, %d domain%s, warm-start %s, pricing %s, \
-     presolve %s%s\n%!"
+    "serve: %d batches -> %d jobs, %d domain%s, warm-start %s%s\n%!"
     (List.length specs) (List.length jobs) domains
     (if domains = 1 then "" else "s")
     (if no_warm then "off" else "on")
-    (match pricing with Sa_lp.Model.Dantzig -> "dantzig" | Sa_lp.Model.Devex -> "devex")
-    (if presolve then "on" else "off")
     (match fault_rate with
     | None -> ""
     | Some r -> Printf.sprintf ", fault-rate %.2f (seed %d)" r fault_seed);
@@ -389,28 +385,6 @@ let no_warm_arg =
          ~doc:"Disable the LP warm-start basis cache (results are then \
                byte-identical across any --domains value).")
 
-let pricing_arg =
-  let c = Arg.enum [ ("dantzig", Sa_lp.Model.Dantzig); ("devex", Sa_lp.Model.Devex) ] in
-  Arg.(value & opt c Sa_lp.Model.Dantzig
-       & info [ "pricing" ] ~docv:"RULE"
-           ~doc:"Simplex entering-variable rule: dantzig|devex.  Devex \
-                 usually pivots less on large LPs at more work per pivot; \
-                 either rule yields the same certified LP optimum, and \
-                 results for a fixed rule are byte-identical across any \
-                 --domains value (with --no-warm).")
-
-let presolve_arg =
-  let c = Arg.enum [ ("on", true); ("off", false) ] in
-  Arg.(value & opt c false
-       & info [ "presolve" ] ~docv:"on|off"
-           ~doc:"Run the LP presolve pipeline (duplicate/empty-row removal, \
-                 dominated-column elimination, power-of-two equilibration) \
-                 in front of every simplex solve (default off).  The exact \
-                 postsolve keeps prices and certificates in original \
-                 coordinates; objectives agree with presolve off within \
-                 solver tolerance, and results for a fixed setting are \
-                 byte-identical across any --domains value (with --no-warm).")
-
 let json_arg =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
          ~doc:"Write the batch summary as JSON to $(docv) (includes the \
@@ -486,8 +460,7 @@ let serve_cmd =
   let doc = "Replay a workload file through the batch auction engine" in
   Cmd.v (Cmd.info "serve" ~doc ~exits:(bad_input_exit :: Cmd.Exit.defaults))
     Term.(const run_serve $ Log_cli.term $ workload_arg $ demo_arg $ domains_arg
-          $ pool_chunk_arg $ no_warm_arg $ no_column_pool_arg $ pricing_arg
-          $ presolve_arg $ json_arg
+          $ pool_chunk_arg $ no_warm_arg $ no_column_pool_arg $ json_arg
           $ metrics_out_arg $ prom_out_arg
           $ fault_rate_arg $ fault_seed_arg $ deadline_ms_arg $ pivot_budget_arg
           $ max_retries_arg $ no_fallback_arg $ results_out_arg $ listen_arg

@@ -137,11 +137,10 @@ let stage ?(zeroed = []) inst =
   (m, vars)
 
 let solve_explicit_stats ?zeroed ?warm_start ?max_iters ?deadline
-    ?inject_warm_crash ?pricing ?presolve inst =
+    ?inject_warm_crash inst =
   let m, vars = stage ?zeroed inst in
   let ws =
-    Model.solve_with_basis ?warm_start ?max_iters ?deadline
-      ?inject_warm_crash ?pricing ?presolve m
+    Model.solve_with_basis ?warm_start ?max_iters ?deadline ?inject_warm_crash m
   in
   let sol = ws.Model.solution in
   let numerical detail =

@@ -70,8 +70,6 @@ val solve_explicit_stats :
   ?max_iters:int ->
   ?deadline:float ->
   ?inject_warm_crash:bool ->
-  ?pricing:Sa_lp.Model.pricing ->
-  ?presolve:bool ->
   Instance.t ->
   fractional * solve_stats
 (** {!solve_explicit} with the warm-start plumbing exposed: pass a basis
@@ -83,14 +81,7 @@ val solve_explicit_stats :
     absolute {!Sa_util.Timing.now} timestamp enforced in the pivot loop
     ([Sa_util.Fail.Error (Timeout _)] past it);
     [inject_warm_crash] forces the warm pivot-in to fail after mutating
-    state, exercising the rollback path (fault injection); [pricing]
-    selects the simplex's entering-variable rule (default [Dantzig]);
-    [presolve] (default [false]) runs the {!Sa_lp.Presolve}
-    reduction/scaling pipeline before the solve — results come back in
-    original coordinates via the exact postsolve, so deterrent prices and
-    certificates are unchanged within [Tol], but a [warm_start] basis
-    from a revalued instance usually fails to install on the reduced LP
-    and the solve then starts cold (see {!Sa_lp.Model.solve_with_basis}). *)
+    state, exercising the rollback path (fault injection). *)
 
 val scale : fractional -> float -> fractional
 (** Scale every [x] (and the objective) by a factor in [\[0,1\]] — LP

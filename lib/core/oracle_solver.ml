@@ -207,7 +207,7 @@ let price_state_update inst st ~y =
   Tel.add m_price_recomputes !recomputed
 
 let solve ?(max_rounds = 200) ?(eps = Sa_lp.Tol.feas_eps) ?(pricing = Incremental)
-    ?lp_pricing ?presolve ?(domains = 1) ?deadline ?(on_stall = `Accept)
+    ?(domains = 1) ?deadline ?(on_stall = `Accept)
     ?column_pool inst =
   Sa_telemetry.Trace.with_span ~hist:h_solve "core.colgen.solve" @@ fun () ->
   Tel.incr m_solves;
@@ -286,7 +286,7 @@ let solve ?(max_rounds = 200) ?(eps = Sa_lp.Tol.feas_eps) ?(pricing = Incrementa
      the generated column sequence is independent of [domains]. *)
   let all_demands prices =
     Tel.add m_oracle_calls n;
-    Fanout.map_array ~domains
+    Pool.map_array ~domains
       (fun v ->
         (* Classify anything escaping a demand oracle: the engine needs to
            know which bidder's oracle broke to report (and retry) the job. *)
@@ -349,8 +349,7 @@ let solve ?(max_rounds = 200) ?(eps = Sa_lp.Tol.feas_eps) ?(pricing = Incrementa
     in
     let r, dt =
       Sa_util.Timing.time (fun () ->
-          Model.solve_with_basis ?warm_start ?deadline
-            ?pricing:lp_pricing ?presolve ~workspace:lp_workspace m)
+          Model.solve_with_basis ?warm_start ?deadline ~workspace:lp_workspace m)
     in
     lp_time := !lp_time +. dt;
     warm_basis := r.Model.basis;

@@ -65,8 +65,6 @@ val solve :
   ?max_rounds:int ->
   ?eps:float ->
   ?pricing:pricing ->
-  ?lp_pricing:Sa_lp.Model.pricing ->
-  ?presolve:bool ->
   ?domains:int ->
   ?deadline:float ->
   ?on_stall:[ `Accept | `Fail ] ->
@@ -87,24 +85,12 @@ val solve :
 
     The master LP is warm-started across rounds from the previous optimal
     basis, with slack indices remapped as columns are appended.
-    [pricing] defaults to [Incremental].  [lp_pricing] selects the
-    *simplex* entering-variable rule inside each master solve
-    ({!Sa_lp.Model.pricing}, default [Dantzig]) — distinct from [pricing],
-    which governs how the colgen dual prices are recomputed.  Master
-    re-solves share the domain's {!Sa_lp.Workspace} arena, so a re-solve
-    allocates only for the columns added since the previous round.
-    [presolve] (default [false]) runs {!Sa_lp.Presolve} in front of every
-    master solve.  The optimum is unchanged (exact postsolve, and the
-    basis handed back stays in original coordinates), but the
-    cross-round warm start often fails to install on the reduced master
-    and the round starts cold, so presolved colgen spends more pivots
-    (about half the warm starts install on the served colgen-mix
-    workload; see {!Sa_lp.Model.solve_with_basis}).  Column-pool
-    fingerprints are computed on the pre-presolve model, so a column
-    dropped by presolve in one round is still internable and may
-    re-enter later.
-    [domains] (default 1) fans the
-    per-round demand-oracle calls across OCaml 5 domains; answers merge in
+    [pricing] defaults to [Incremental]; it governs how the colgen dual
+    prices are recomputed.  Master re-solves share the domain's
+    {!Sa_lp.Workspace} arena, so a re-solve allocates only for the
+    columns added since the previous round.
+    [domains] (default 1) fans the per-round demand-oracle calls across
+    OCaml 5 domains with {!Pool.map_array}; answers merge in
     bidder order, so the generated column sequence — and every telemetry
     counter — is independent of the domain count.
 

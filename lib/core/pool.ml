@@ -1,7 +1,7 @@
 (* Persistent domain pool with a dynamic self-scheduling (work-stealing)
    batch scheduler.
 
-   Every [Fanout.map_array] used to pay [Domain.spawn]/[Domain.join] per
+   Every domain fan-out used to pay [Domain.spawn]/[Domain.join] per
    call and assigned indices in fixed strides, so one expensive item
    stalled its stride while sibling domains idled.  Here worker domains
    are spawned once (lazily, on the first batch that needs them), parked
@@ -251,7 +251,7 @@ let shutdown t =
 
 (* ----------------------------- default pool ------------------------------ *)
 
-(* Process-wide pool shared by [Fanout]/[Parallel].  [shutdown] on it is
+(* Process-wide pool shared by every fan-out caller.  [shutdown] on it is
    honoured — the next [default ()] transparently builds a fresh pool, so
    tests (and embedders that fork) can recycle the worker set. *)
 let default_lock = Mutex.create ()
@@ -271,6 +271,8 @@ let default () =
   t
 
 (* ------------------------------ submission ------------------------------- *)
+
+let default_domains = max 1 (Domain.recommended_domain_count () - 1)
 
 let map_array ?pool ?(domains = 1) ?chunk f arr =
   if domains < 1 then invalid_arg "Pool.map_array: domains must be >= 1";

@@ -32,16 +32,20 @@ val create : unit -> t
     {!map_array}). *)
 
 val default : unit -> t
-(** The process-wide pool used by {!Fanout} and {!Parallel}.  If the
+(** The process-wide pool behind every fan-out caller.  If the
     current default has been {!shutdown}, a fresh pool is created — the
     pool is restartable. *)
+
+val default_domains : int
+(** [recommended_domain_count () - 1], at least 1: the fan-out width
+    {!Rounding.solve_par} uses when none is given. *)
 
 val map_array : ?pool:t -> ?domains:int -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array f arr] is [Array.map f arr]; with [domains > 1] the items
     are scheduled across [min domains (length arr)] participants (the
     calling domain plus up to [domains - 1] pool workers).  [pool]
-    defaults to {!default}[ ()]; [domains] defaults to 1 (callers such as
-    {!Fanout.map_array} pass their own default); [chunk] fixes the
+    defaults to {!default}[ ()]; [domains] defaults to 1 (callers that
+    fan out pass their own, usually {!default_domains}); [chunk] fixes the
     self-scheduling chunk size (default: adaptive).
 
     Element 0 is computed eagerly on the caller to seed the result buffer,

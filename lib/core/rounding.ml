@@ -373,7 +373,7 @@ let solve ?(trials = 8) g_rng inst frac =
    (never per domain), merged in fixed index order, so the result is a
    deterministic function of [seed] alone — running with 1 or N domains
    returns byte-identical allocations. *)
-let solve_par ?(domains = Fanout.default_domains) ?chunk ?(trials = 8) ~seed inst frac =
+let solve_par ?(domains = Pool.default_domains) ?chunk ?(trials = 8) ~seed inst frac =
   if trials < 1 then invalid_arg "Rounding.solve_par: trials must be >= 1";
   let one t =
     let g_rng = Prng.create ~seed:(seed + (7919 * (t + 1))) in
@@ -385,7 +385,7 @@ let solve_par ?(domains = Fanout.default_domains) ?chunk ?(trials = 8) ~seed ins
     | Instance.Per_channel_weighted _ ->
         algorithm3_asymmetric inst (algorithm_asymmetric_weighted g_rng inst frac)
   in
-  let cands = Fanout.map_array ~domains ?chunk one (Array.init trials Fun.id) in
+  let cands = Pool.map_array ~domains ?chunk one (Array.init trials Fun.id) in
   let best = ref cands.(0) in
   for t = 1 to trials - 1 do
     if Allocation.value inst cands.(t) > Allocation.value inst !best then begin

@@ -4,7 +4,7 @@ module Lp = Sa_core.Lp_relaxation
 module Rounding = Sa_core.Rounding
 module Greedy = Sa_core.Greedy
 module Derand = Sa_core.Derand
-module Parallel = Sa_core.Parallel
+module Pool = Sa_core.Pool
 module Oracle_solver = Sa_core.Oracle_solver
 module Serialize = Sa_core.Serialize
 module Graph = Sa_graph.Graph
@@ -91,16 +91,14 @@ type policy = {
   max_retries : int;
   fallback : bool;
   faults : Faultgen.t option;
-  lp_pricing : Sa_lp.Model.pricing;
-  lp_presolve : bool;
 }
 
 let default_policy =
   { deadline_s = None; pivot_budget = None; max_retries = 1; fallback = true;
-    faults = None; lp_pricing = Sa_lp.Model.Dantzig; lp_presolve = false }
+    faults = None }
 
 let policy ?deadline_s ?pivot_budget ?(max_retries = 1) ?(fallback = true)
-    ?faults ?(lp_pricing = Sa_lp.Model.Dantzig) ?(lp_presolve = false) () =
+    ?faults () =
   if max_retries < 0 then invalid_arg "Engine.policy: max_retries must be >= 0";
   (match deadline_s with
   | Some s when s < 0.0 -> invalid_arg "Engine.policy: deadline_s must be >= 0"
@@ -108,8 +106,7 @@ let policy ?deadline_s ?pivot_budget ?(max_retries = 1) ?(fallback = true)
   (match pivot_budget with
   | Some p when p < 1 -> invalid_arg "Engine.policy: pivot_budget must be >= 1"
   | _ -> ());
-  { deadline_s; pivot_budget; max_retries; fallback; faults; lp_pricing;
-    lp_presolve }
+  { deadline_s; pivot_budget; max_retries; fallback; faults }
 
 type result = {
   job_id : int;
@@ -366,9 +363,7 @@ let run_job_robust_impl t policy job =
                    pivots; the per-attempt pivot budget is not threaded
                    through — the deadline is the binding control. *)
                 let frac, ostats =
-                  Oracle_solver.solve ~lp_pricing:policy.lp_pricing
-                    ~presolve:policy.lp_presolve ?deadline
-                    ?column_pool:oracle_pool inst
+                  Oracle_solver.solve ?deadline ?column_pool:oracle_pool inst
                 in
                 ( frac,
                   {
@@ -378,8 +373,7 @@ let run_job_robust_impl t policy job =
                   } )
             | _ ->
                 Lp.solve_explicit_stats ?warm_start:warm_basis ?deadline
-                  ?max_iters:policy.pivot_budget ~inject_warm_crash:fire_warm
-                  ~pricing:policy.lp_pricing ~presolve:policy.lp_presolve inst)
+                  ?max_iters:policy.pivot_budget ~inject_warm_crash:fire_warm inst)
       in
       lp_s_total := !lp_s_total +. lp_s;
       (match (shape_key, stats.Lp.basis) with
@@ -622,7 +616,7 @@ let run_batch ?(domains = 1) ?chunk ?(policy = default_policy) t jobs =
   let arr = Array.of_list jobs in
   let results, wall =
     Timing.time (fun () ->
-        Parallel.map_array ~domains ?chunk (run_job_robust t policy) arr)
+        Pool.map_array ~domains ?chunk (run_job_robust t policy) arr)
   in
   publish_cache_gauges t;
   let summary = summarize t results ~wall in

@@ -95,18 +95,6 @@ type policy = {
       (** when false, jobs whose LP tier fails are reported with
           [tier = None] and an empty allocation instead of degrading *)
   faults : Faultgen.t option;  (** deterministic fault injection, tests only *)
-  lp_pricing : Sa_lp.Model.pricing;
-      (** simplex entering-variable rule for every LP this job solves —
-          explicit masters and colgen masters alike (default [Dantzig];
-          [Devex] trades more work per pivot for fewer pivots) *)
-  lp_presolve : bool;
-      (** run the {!Sa_lp.Presolve} reduction/scaling pipeline in front of
-          every LP this job solves (default [false]).  Solutions, duals,
-          prices and certificates come back in original coordinates via
-          the exact postsolve, so results agree with the unpresolved solve
-          within [Tol].  It defeats the basis cache, though: a cached
-          basis rarely installs on a revalued job's reduced LP, so
-          repeated topologies re-solve cold (see DESIGN.md §12). *)
 }
 
 val default_policy : policy
@@ -118,8 +106,6 @@ val policy :
   ?max_retries:int ->
   ?fallback:bool ->
   ?faults:Faultgen.t ->
-  ?lp_pricing:Sa_lp.Model.pricing ->
-  ?lp_presolve:bool ->
   unit ->
   policy
 (** Validating constructor over {!default_policy}'s defaults. *)
@@ -222,7 +208,7 @@ val run_batch :
   ?domains:int -> ?chunk:int -> ?policy:policy -> t -> job list ->
   result array * summary
 (** Run every job (default sequentially; [domains > 1] schedules on the
-    persistent domain pool via {!Sa_core.Parallel.map_array}; [chunk]
+    persistent domain pool via {!Sa_core.Pool.map_array}; [chunk]
     fixes the pool's self-scheduling chunk size, default adaptive).
     [results.(i)] corresponds to the i-th job of the input list regardless
     of scheduling.  [policy] defaults to {!default_policy}. *)

@@ -100,47 +100,71 @@ let greedy_profit_weighted wg ~candidates ~profit =
   let total = List.fold_left (fun acc u -> acc +. profit u) 0.0 !chosen in
   (!chosen, total)
 
+(* Per-domain grow-only buffer for the m×m weight table of
+   [max_profit_weighted]: [Inductive.rho_weighted] calls it once per
+   vertex, and a fresh table per call would outlive many minor
+   collections and be promoted, only to become major-heap garbage.  The
+   table is filled after the last call to [profit] and read only by the
+   search, which calls no outside code, so a reentrant call cannot
+   clobber it. *)
+let weight_table = Domain.DLS.new_key (fun () -> ref [||])
+
 let max_profit_weighted ?(node_limit = default_node_limit) wg ~candidates ~profit =
   Array.iter
     (fun u -> if profit u < 0.0 then invalid_arg "Indep.max_profit_weighted: negative profit")
     candidates;
   let cands = Array.copy candidates in
   Array.sort (fun a b -> compare (profit b) (profit a)) cands;
-  let cand_list = Array.to_list cands in
-  let incoming = Array.make (Weighted.n wg) 0.0 in
+  (* The search runs over positions in [cands].  Profits and the weights
+     between candidates are looked up once here: the search revisits each
+     pair at many nodes, and in a sparse graph every lookup is a binary
+     search.  Each sum below keeps its terms and their order, so the result
+     is bitwise what per-node lookups give. *)
+  let m = Array.length cands in
+  let prof = Array.map profit cands in
+  let table = Domain.DLS.get weight_table in
+  if Array.length !table < m * m then table := Array.make (m * m) 0.0;
+  let w = !table in
+  for i = 0 to m - 1 do
+    for j = 0 to m - 1 do
+      w.((i * m) + j) <- Weighted.w wg cands.(i) cands.(j)
+    done
+  done;
+  let incoming = Array.make m 0.0 in
+  let feasible chosen i =
+    let into_i = List.fold_left (fun acc j -> acc +. w.((j * m) + i)) 0.0 chosen in
+    into_i < 1.0 && List.for_all (fun j -> incoming.(j) +. w.((i * m) + j) < 1.0) chosen
+  in
   let best_set = ref [] and best_p = ref 0.0 in
   let nodes = ref 0 in
-  let rec go chosen cur_p remaining rem_total =
+  let rec go chosen cur_p i rem_total =
     incr nodes;
     if !nodes > node_limit then raise Budget_exhausted;
     if cur_p > !best_p then begin
       best_p := cur_p;
       best_set := chosen
     end;
-    match remaining with
-    | [] -> ()
-    | u :: rest ->
-        if cur_p +. rem_total > !best_p then begin
-          if feasible_with wg chosen incoming u then begin
-            List.iter (fun v -> incoming.(v) <- incoming.(v) +. Weighted.w wg u v) chosen;
-            incoming.(u) <-
-              List.fold_left (fun acc v -> acc +. Weighted.w wg v u) 0.0 chosen;
-            go (u :: chosen) (cur_p +. profit u) rest (rem_total -. profit u);
-            List.iter (fun v -> incoming.(v) <- incoming.(v) -. Weighted.w wg u v) chosen;
-            incoming.(u) <- 0.0
-          end;
-          go chosen cur_p rest (rem_total -. profit u)
-        end
+    if i < m && cur_p +. rem_total > !best_p then begin
+      if feasible chosen i then begin
+        List.iter (fun j -> incoming.(j) <- incoming.(j) +. w.((i * m) + j)) chosen;
+        incoming.(i) <- List.fold_left (fun acc j -> acc +. w.((j * m) + i)) 0.0 chosen;
+        go (i :: chosen) (cur_p +. prof.(i)) (i + 1) (rem_total -. prof.(i));
+        List.iter (fun j -> incoming.(j) <- incoming.(j) -. w.((i * m) + j)) chosen;
+        incoming.(i) <- 0.0
+      end;
+      go chosen cur_p (i + 1) (rem_total -. prof.(i))
+    end
   in
-  let total = Array.fold_left (fun acc u -> acc +. profit u) 0.0 cands in
+  let total = Array.fold_left ( +. ) 0.0 prof in
   let exact =
     try
-      go [] 0.0 cand_list total;
+      go [] 0.0 0 total;
       true
     with Budget_exhausted -> false
   in
-  if exact then { set = !best_set; value = !best_p; exact = true }
+  let set = List.map (fun i -> cands.(i)) !best_set in
+  if exact then { set; value = !best_p; exact = true }
   else
     let gset, gp = greedy_profit_weighted wg ~candidates ~profit in
     if gp > !best_p then { set = gset; value = gp; exact = false }
-    else { set = !best_set; value = !best_p; exact = false }
+    else { set; value = !best_p; exact = false }

@@ -55,8 +55,6 @@ type solution = {
   dual : row -> float;
 }
 
-type pricing = Revised.pricing = Dantzig | Devex
-
 type warm_solution = {
   solution : solution;
   basis : Revised.basis option;
@@ -171,56 +169,14 @@ let wrap t sol =
         sol.Simplex.duals.(r));
   }
 
-let presolve_attrs (info : Presolve.info) =
-  [
-    ("presolve_rows_removed", string_of_int info.Presolve.rows_removed);
-    ("presolve_cols_removed", string_of_int info.Presolve.cols_removed);
-    ("presolve_duplicates", string_of_int info.Presolve.duplicates);
-    ("presolve_scaling_passes", string_of_int info.Presolve.scaling_passes);
-  ]
-
-let no_presolve_attrs =
-  [
-    ("presolve_rows_removed", "0");
-    ("presolve_cols_removed", "0");
-    ("presolve_duplicates", "0");
-    ("presolve_scaling_passes", "0");
-  ]
-
 let solve_with_basis ?eps ?max_iters ?warm_start ?deadline ?inject_warm_crash
-    ?pricing ?workspace ?(presolve = false) t =
+    ?workspace t =
   let ws = match workspace with Some ws -> ws | None -> Workspace.get () in
-  let spec = to_spec ws t in
-  if not presolve then
-    let sol, basis, stats =
-      Revised.solve_spec ?eps ?max_iters ?warm_start ?deadline
-        ?inject_warm_crash ?pricing ~workspace:ws spec
-    in
-    { solution = wrap t sol; basis; stats }
-  else
-    match Presolve.reduce ~workspace:ws spec with
-    | None ->
-        let sol, basis, stats =
-          Revised.solve_spec ?eps ?max_iters ?warm_start ?deadline
-            ?inject_warm_crash ?pricing ~workspace:ws ~attrs:no_presolve_attrs
-            spec
-        in
-        { solution = wrap t sol; basis; stats }
-    | Some (reduced, pr) ->
-        (* warm-start tokens stay in original internal index space at the
-           API boundary: translate in, solve reduced, translate the optimal
-           basis back out so callers (engine basis cache, colgen) never see
-           reduced indices. *)
-        let warm_red = Option.bind warm_start (Presolve.map_basis_in pr) in
-        let sol, rbasis, stats =
-          Revised.solve_spec ?eps ?max_iters ?warm_start:warm_red ?deadline
-            ?inject_warm_crash ?pricing ~workspace:ws
-            ~attrs:(presolve_attrs (Presolve.info pr))
-            reduced
-        in
-        let sol = Presolve.postsolve pr sol in
-        let basis = Option.bind rbasis (Presolve.map_basis_out pr) in
-        { solution = wrap t sol; basis; stats }
+  let sol, basis, stats =
+    Revised.solve_spec ?eps ?max_iters ?warm_start ?deadline ?inject_warm_crash
+      ~workspace:ws (to_spec ws t)
+  in
+  { solution = wrap t sol; basis; stats }
 
-let solve ?eps ?max_iters ?deadline ?pricing ?presolve t =
-  (solve_with_basis ?eps ?max_iters ?deadline ?pricing ?presolve t).solution
+let solve ?eps ?max_iters ?deadline t =
+  (solve_with_basis ?eps ?max_iters ?deadline t).solution

@@ -40,10 +40,6 @@ type solution = {
   dual : row -> float;
 }
 
-type pricing = Revised.pricing = Dantzig | Devex
-(** Re-export of {!Revised.pricing} so engine-policy code can name the
-    rule without depending on {!Revised} directly. *)
-
 val to_spec : Workspace.t -> t -> Revised.spec
 (** Stage the model as a sparse column-major {!Revised.spec} in
     [O(vars + rows + entries)], writing into the given arena's {!Model}
@@ -56,15 +52,11 @@ val solve :
   ?eps:float ->
   ?max_iters:int ->
   ?deadline:float ->
-  ?pricing:pricing ->
-  ?presolve:bool ->
   t ->
   solution
 (** Runs the revised simplex on the current model.  The model remains
     usable (more variables/rows may be added and [solve] called again —
-    each call solves from scratch).  [pricing] selects the
-    entering-variable rule (default [Dantzig]); [presolve] (default
-    [false]) runs the {!Presolve} reduction/scaling pipeline first. *)
+    each call solves from scratch). *)
 
 type warm_solution = {
   solution : solution;
@@ -80,9 +72,7 @@ val solve_with_basis :
   ?warm_start:Revised.basis ->
   ?deadline:float ->
   ?inject_warm_crash:bool ->
-  ?pricing:pricing ->
   ?workspace:Workspace.t ->
-  ?presolve:bool ->
   t ->
   warm_solution
 (** {!solve}, exposing the warm-start machinery of {!Revised.solve_warm}:
@@ -95,8 +85,7 @@ val solve_with_basis :
     the calling domain's arena, {!Workspace.get}), which is also handed to
     the solver for its scratch state; a column-generation loop therefore
     re-solves with allocation proportional to the columns added since the
-    last round, not to the matrix size.  [pricing] selects the
-    entering-variable rule (default [Dantzig]).
+    last round, not to the matrix size.
 
     The basis token is tied to the model's variable/row layout, so callers
     must key caches on a fingerprint of that layout (see
@@ -105,16 +94,4 @@ val solve_with_basis :
     [deadline] is an absolute {!Sa_util.Timing.now} timestamp enforced
     inside the pivot loops ([Sa_util.Fail.Error (Timeout _)] past it);
     [inject_warm_crash] forwards {!Revised.solve_warm}'s fault-injection
-    hook.
-
-    [presolve] (default [false]) runs {!Presolve.reduce} on the staged
-    spec, solves the reduced LP, and maps the solution, duals, and basis
-    back to the model's own spaces via the exact postsolve — the returned
-    solution and basis are always in original model coordinates, and
-    reduction counts are attached as [presolve_*] attrs on the solve
-    span/event.  A warm start is translated into the reduced space with
-    {!Presolve.map_basis_in}, but presolve does not compose with warm
-    starts across revalued models: the mapped basis of a same-shape,
-    revalued model is usually singular in its reduced LP, the crash
-    pivot-in rejects it, and the solve starts cold (an unchanged model
-    re-warms fine).  See DESIGN.md §12 for the measurement. *)
+    hook. *)

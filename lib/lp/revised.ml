@@ -13,14 +13,11 @@
      [Tol.default_refactor_interval] pivots (sparsest-column-first greedy
      elimination), with a drift check of the maintained basic solution
      against the recomputed one;
-   - entering columns are chosen by the configured [pricing] rule:
-     [Dantzig] (default) prices over a small candidate list (partial
-     pricing) with full cyclic scans only to replenish the list or prove
-     optimality; [Devex] keeps Forrest–Goldfarb reference weights
-     (score d_j^2/gamma_j, weights reset to the unit framework at every
-     refactorization) and typically needs far fewer pivots on wide LPs.
-     Both fall back to Bland's rule after the anti-cycling threshold, and
-     both break ties deterministically towards the lowest column index;
+   - entering columns are chosen by Dantzig partial pricing over a small
+     candidate list, with full cyclic scans only to replenish the list or
+     prove optimality, falling back to Bland's rule after the anti-cycling
+     threshold; ties break deterministically towards the lowest column
+     index;
    - two phases, artificials blocked in phase 2.
 
    [solve_warm] additionally accepts a starting basis (typically the
@@ -44,9 +41,6 @@ let m_pricing_scans = Tel.counter "lp.revised.pricing_scans"
 let m_warm_attempts = Tel.counter "lp.revised.warm_attempts"
 let m_warm_installs = Tel.counter "lp.revised.warm_installs"
 let m_warm_rollbacks = Tel.counter "lp.revised.warm_rollbacks"
-let m_devex_pivots = Tel.counter "lp.pricing.devex_pivots"
-let m_dantzig_pivots = Tel.counter "lp.pricing.dantzig_pivots"
-let m_pricing_resets = Tel.counter "lp.pricing.resets"
 let h_solve = Tel.histogram "lp.revised.solve.seconds"
 let log_src = Logs.Src.create "sa.lp.revised" ~doc:"Revised sparse simplex"
 
@@ -55,8 +49,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 type basis = int array
 
 type stats = { iterations : int; warm_used : bool }
-
-type pricing = Dantzig | Devex
 
 type spec = {
   s_direction : Simplex.direction;
@@ -83,12 +75,10 @@ module Slot = struct
   let scratch = 3
   let eta_pivot = 4
   let eta_vals = 5
-  let weights = 6
-  let rho = 7
-  let cost1 = 8
-  let cost2 = 9
-  let cval = 10
-  let rhs = 11
+  let cost1 = 6
+  let cost2 = 7
+  let cval = 8
+  let rhs = 9
 
   (* int slots *)
   let basis = 0
@@ -129,9 +119,6 @@ type core = {
   mutable pivots_since_refactor : int;
       (* the rebuilt file itself holds one eta per basis column, so the
          refactorization trigger must count pivots, not file length *)
-  mutable refactor_gen : int;
-      (* bumped by every refactorization; devex pricing watches it to
-         reset its reference weights *)
   basis : int array;
   x_b : float array; (* fixed buffer; refactorization blits into it *)
   in_basis : bool array;
@@ -226,8 +213,13 @@ let ftran t j =
   apply_etas t w;
   w
 
-(* In-place y := y B^{-1}, applying eta inverses newest-to-oldest. *)
-let btran_core t y =
+(* y^T = c_B^T B^{-1}, into the shared BTRAN buffer: eta inverses applied
+   newest-to-oldest. *)
+let btran t costs =
+  let y = t.y_btran in
+  for i = 0 to t.m - 1 do
+    y.(i) <- costs.(t.basis.(i))
+  done;
   for k = t.n_etas - 1 downto 0 do
     let idx = t.eta_idx and vals = t.eta_vals in
     let s = ref 0.0 in
@@ -236,15 +228,7 @@ let btran_core t y =
     done;
     let r = t.eta_row.(k) in
     y.(r) <- (y.(r) -. !s) /. t.eta_pivot.(k)
-  done
-
-(* y^T = c_B^T B^{-1}, into the shared BTRAN buffer. *)
-let btran t costs =
-  let y = t.y_btran in
-  for i = 0 to t.m - 1 do
-    y.(i) <- costs.(t.basis.(i))
   done;
-  btran_core t y;
   y
 
 (* --------------------------- refactorization ---------------------------- *)
@@ -258,7 +242,6 @@ let btran t costs =
    maintained values. *)
 let refactorize t =
   Tel.incr m_refactor;
-  t.refactor_gen <- t.refactor_gen + 1;
   let old_basis = Array.sub t.basis 0 t.m in
   t.n_etas <- 0;
   t.eta_nnz <- 0;
@@ -327,7 +310,7 @@ let pivot t ~row ~col ~w =
 
 (* ------------------------------- pricing -------------------------------- *)
 
-let run_phase t ~costs ~eps ~max_iters ~allowed ~pricing ~deadline ~started =
+let run_phase t ~costs ~eps ~max_iters ~allowed ~deadline ~started =
   let iter = ref 0 in
   let bland_threshold = max 2000 (10 * (t.m + t.ncols)) in
   (* Dantzig partial pricing: reduced costs are evaluated only over a small
@@ -337,17 +320,6 @@ let run_phase t ~costs ~eps ~max_iters ~allowed ~pricing ~deadline ~started =
   let cand = Workspace.ints t.ws ~slot:Slot.cand cap in
   let n_cand = ref 0 in
   let scan_start = ref 0 in
-  (* Devex reference weights: unit framework at phase start, reset whenever
-     the eta file is refactorized. *)
-  let weights =
-    match pricing with
-    | Dantzig -> [||]
-    | Devex ->
-        let gamma = Workspace.floats t.ws ~slot:Slot.weights t.ncols in
-        Array.fill gamma 0 t.ncols 1.0;
-        gamma
-  in
-  let weights_gen = ref t.refactor_gen in
   let reduced y j = costs.(j) -. col_dot t j y in
   let result = ref None in
   while !result = None do
@@ -375,72 +347,47 @@ let run_phase t ~costs ~eps ~max_iters ~allowed ~pricing ~deadline ~started =
           done
         with Exit -> ())
       else begin
-        match pricing with
-        | Devex ->
-            if t.refactor_gen <> !weights_gen then begin
-              (* refactorized since the last pricing step: back to the unit
-                 reference framework *)
-              Array.fill weights 0 t.ncols 1.0;
-              weights_gen := t.refactor_gen;
-              Tel.incr m_pricing_resets
-            end;
-            (* full devex scan: maximize d_j^2 / gamma_j; strict improvement
-               only, so ties go to the lowest column index *)
-            let best_score = ref 0.0 in
-            for j = 0 to t.ncols - 1 do
-              if allowed j && not t.in_basis.(j) then begin
-                let d = reduced y j in
-                if d > eps then begin
-                  let score = d *. d /. weights.(j) in
-                  if score > !best_score then begin
-                    best_score := score;
-                    enter := j
-                  end
-                end
+        let best = ref eps in
+        let keep = ref 0 in
+        for k = 0 to !n_cand - 1 do
+          let j = cand.(k) in
+          if allowed j && not t.in_basis.(j) then begin
+            let d = reduced y j in
+            if d > eps then begin
+              cand.(!keep) <- j;
+              incr keep;
+              if d > !best then begin
+                best := d;
+                enter := j
               end
-            done
-        | Dantzig ->
-            let best = ref eps in
-            let keep = ref 0 in
-            for k = 0 to !n_cand - 1 do
-              let j = cand.(k) in
-              if allowed j && not t.in_basis.(j) then begin
-                let d = reduced y j in
-                if d > eps then begin
-                  cand.(!keep) <- j;
-                  incr keep;
-                  if d > !best then begin
-                    best := d;
-                    enter := j
-                  end
-                end
-              end
-            done;
-            n_cand := !keep;
-            if !enter < 0 then begin
-              (* candidate list exhausted: cyclic full scan to refill *)
-              Tel.incr m_pricing_scans;
-              n_cand := 0;
-              let scanned = ref 0 in
-              let j = ref !scan_start in
-              while !scanned < t.ncols && !n_cand < cap do
-                let jj = !j in
-                if allowed jj && not t.in_basis.(jj) then begin
-                  let d = reduced y jj in
-                  if d > eps then begin
-                    cand.(!n_cand) <- jj;
-                    incr n_cand;
-                    if d > !best then begin
-                      best := d;
-                      enter := jj
-                    end
-                  end
-                end;
-                incr scanned;
-                j := if jj + 1 >= t.ncols then 0 else jj + 1
-              done;
-              scan_start := !j
             end
+          end
+        done;
+        n_cand := !keep;
+        if !enter < 0 then begin
+          (* candidate list exhausted: cyclic full scan to refill *)
+          Tel.incr m_pricing_scans;
+          n_cand := 0;
+          let scanned = ref 0 in
+          let j = ref !scan_start in
+          while !scanned < t.ncols && !n_cand < cap do
+            let jj = !j in
+            if allowed jj && not t.in_basis.(jj) then begin
+              let d = reduced y jj in
+              if d > eps then begin
+                cand.(!n_cand) <- jj;
+                incr n_cand;
+                if d > !best then begin
+                  best := d;
+                  enter := jj
+                end
+              end
+            end;
+            incr scanned;
+            j := if jj + 1 >= t.ncols then 0 else jj + 1
+          done;
+          scan_start := !j
+        end
       end;
       if !enter < 0 then result := Some `Optimal
       else begin
@@ -463,45 +410,12 @@ let run_phase t ~costs ~eps ~max_iters ~allowed ~pricing ~deadline ~started =
           end
         done;
         if !leave < 0 then result := Some `Unbounded
-        else begin
-          let r = !leave in
-          (match pricing with
-          | Devex when not use_bland ->
-              (* Forrest–Goldfarb update.  alpha_j = rho · A_j where
-                 rho = e_r^T B^{-1} (one extra btran of a unit vector);
-                 gamma_j <- max(gamma_j, (alpha_j/alpha_q)^2 gamma_q) for
-                 nonbasic j, and the leaving variable re-enters the
-                 nonbasic set with gamma_p = max(gamma_q/alpha_q^2, 1). *)
-              let rho = Workspace.floats t.ws ~slot:Slot.rho t.m in
-              Array.fill rho 0 t.m 0.0;
-              rho.(r) <- 1.0;
-              btran_core t rho;
-              let alpha_q = w.(r) in
-              let gamma_q = weights.(col) in
-              for j = 0 to t.ncols - 1 do
-                if j <> col && allowed j && not t.in_basis.(j) then begin
-                  let alpha_j = col_dot t j rho in
-                  if alpha_j <> 0.0 then begin
-                    let ratio = alpha_j /. alpha_q in
-                    let cand_w = ratio *. ratio *. gamma_q in
-                    if cand_w > weights.(j) then weights.(j) <- cand_w
-                  end
-                end
-              done;
-              let p = t.basis.(r) in
-              let wp = gamma_q /. (alpha_q *. alpha_q) in
-              weights.(p) <- (if wp > 1.0 then wp else 1.0)
-          | _ -> ());
-          pivot t ~row:r ~col ~w
-        end
+        else pivot t ~row:!leave ~col ~w
       end
     end
   done;
   let status = match !result with Some r -> r | None -> assert false in
   Tel.add m_pivots !iter;
-  (match pricing with
-  | Devex -> Tel.add m_devex_pivots !iter
-  | Dantzig -> Tel.add m_dantzig_pivots !iter);
   (status, !iter)
 
 (* ------------------------------ warm start ------------------------------ *)
@@ -588,7 +502,7 @@ let try_warm_basis ?(inject_crash = false) t wb =
 
 (* ------------------------------ solve core ------------------------------ *)
 
-let solve_spec_impl ~ws ~pricing ?(eps = Tol.solve_eps) ?max_iters ?warm_start
+let solve_spec_impl ~ws ?(eps = Tol.solve_eps) ?max_iters ?warm_start
     ?deadline ?(inject_warm_crash = false) spec =
   let started = Sa_util.Timing.now () in
   (match deadline with
@@ -704,7 +618,6 @@ let solve_spec_impl ~ws ~pricing ?(eps = Tol.solve_eps) ?max_iters ?warm_start
       n_etas = 0;
       eta_nnz = 0;
       pivots_since_refactor = 0;
-      refactor_gen = 0;
       basis;
       x_b;
       in_basis;
@@ -748,8 +661,8 @@ let solve_spec_impl ~ws ~pricing ?(eps = Tol.solve_eps) ?max_iters ?warm_start
         c1.(j) <- (if artificial.(j) then -1.0 else 0.0)
       done;
       let status, iters =
-        run_phase t ~costs:c1 ~eps ~max_iters ~allowed:(fun _ -> true) ~pricing
-          ~deadline ~started
+        run_phase t ~costs:c1 ~eps ~max_iters ~allowed:(fun _ -> true) ~deadline
+          ~started
       in
       iterations := !iterations + iters;
       match status with
@@ -790,7 +703,7 @@ let solve_spec_impl ~ws ~pricing ?(eps = Tol.solve_eps) ?max_iters ?warm_start
   | `Optimal -> (
       let allowed j = not artificial.(j) in
       let status, iters =
-        run_phase t ~costs:c2 ~eps ~max_iters ~allowed ~pricing ~deadline ~started
+        run_phase t ~costs:c2 ~eps ~max_iters ~allowed ~deadline ~started
       in
       iterations := !iterations + iters;
       match status with
@@ -882,7 +795,7 @@ let with_ws ?workspace f =
        arena rather than trample the outer solve's buffers *)
     f (Workspace.create ())
 
-let instrumented ?(attrs = []) f =
+let instrumented f =
   Sa_telemetry.Trace.with_span ~hist:h_solve "lp.revised.solve" (fun () ->
       Tel.incr m_solves;
       let alloc0 = Gc.allocated_bytes () in
@@ -891,7 +804,6 @@ let instrumented ?(attrs = []) f =
       Sa_telemetry.Trace.add_attr "warm" (string_of_bool stats.warm_used);
       Sa_telemetry.Trace.add_attr "alloc_bytes"
         (Printf.sprintf "%.0f" (Gc.allocated_bytes () -. alloc0));
-      List.iter (fun (k, v) -> Sa_telemetry.Trace.add_attr k v) attrs;
       let status_label =
         match solution.Simplex.status with
         | Simplex.Optimal -> "optimal"
@@ -900,30 +812,27 @@ let instrumented ?(attrs = []) f =
         | Simplex.Iteration_limit -> "iteration_limit"
       in
       Sa_telemetry.Eventlog.emit "revised_solve"
-        ([
-           ("status", Sa_telemetry.Eventlog.Str status_label);
-           ("pivots", Sa_telemetry.Eventlog.Int stats.iterations);
-           ("warm", Sa_telemetry.Eventlog.Bool stats.warm_used);
-           ("objective", Sa_telemetry.Eventlog.Float solution.Simplex.objective);
-         ]
-        @ List.map (fun (k, v) -> (k, Sa_telemetry.Eventlog.Str v)) attrs);
+        [
+          ("status", Sa_telemetry.Eventlog.Str status_label);
+          ("pivots", Sa_telemetry.Eventlog.Int stats.iterations);
+          ("warm", Sa_telemetry.Eventlog.Bool stats.warm_used);
+          ("objective", Sa_telemetry.Eventlog.Float solution.Simplex.objective);
+        ];
       result)
 
 let solve_spec ?eps ?max_iters ?warm_start ?deadline ?inject_warm_crash
-    ?(pricing = Dantzig) ?workspace ?attrs spec =
+    ?workspace spec =
   with_ws ?workspace (fun ws ->
-      instrumented ?attrs (fun () ->
-          solve_spec_impl ~ws ~pricing ?eps ?max_iters ?warm_start ?deadline
+      instrumented (fun () ->
+          solve_spec_impl ~ws ?eps ?max_iters ?warm_start ?deadline
             ?inject_warm_crash spec))
 
 let solve_warm ?eps ?max_iters ?warm_start ?deadline ?inject_warm_crash
-    ?(pricing = Dantzig) ?workspace problem =
+    ?workspace problem =
   let spec = spec_of_problem problem in
-  solve_spec ?eps ?max_iters ?warm_start ?deadline ?inject_warm_crash ~pricing
+  solve_spec ?eps ?max_iters ?warm_start ?deadline ?inject_warm_crash
     ?workspace spec
 
-let solve ?eps ?max_iters ?deadline ?pricing ?workspace problem =
-  let solution, _, _ =
-    solve_warm ?eps ?max_iters ?deadline ?pricing ?workspace problem
-  in
+let solve ?eps ?max_iters ?deadline ?workspace problem =
+  let solution, _, _ = solve_warm ?eps ?max_iters ?deadline ?workspace problem in
   solution

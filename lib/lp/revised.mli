@@ -7,10 +7,9 @@
     per eta rather than O(m²) dense updates.  The file is rebuilt from the
     basis every {!Tol.default_refactor_interval} pivots with a drift check
     of the maintained basic solution.  Entering variables are priced by
-    the configured {!pricing} rule — Dantzig over a small candidate list
-    (partial pricing; full scans only to replenish the list or certify
-    optimality) or devex reference weights — with Bland's rule as the
-    anti-cycling fallback for both.  This wins when the LP has many more
+    Dantzig's rule over a small candidate list (partial pricing; full
+    scans only to replenish the list or certify optimality), with Bland's
+    rule as the anti-cycling fallback.  This wins when the LP has many more
     columns than rows — exactly the shape of the explicit
     channel-allocation LPs, whose column count is Σ|support| while rows
     are only n(k+1).
@@ -39,18 +38,6 @@ type stats = {
   warm_used : bool;  (** the supplied warm basis passed validation *)
 }
 
-type pricing =
-  | Dantzig
-      (** steepest reduced cost over a small candidate list (partial
-          pricing); cheapest per iteration *)
-  | Devex
-      (** Forrest–Goldfarb reference-framework weights: entering column
-          maximizes d_j²/γ_j, weights reset to the unit framework at every
-          refactorization.  More work per iteration (one extra BTRAN and a
-          weight-update sweep per pivot) but typically far fewer pivots on
-          wide LPs.  Ties break deterministically to the lowest column
-          index; Bland fallback is preserved. *)
-
 type spec = {
   s_direction : Simplex.direction;
   s_nstruct : int;  (** number of structural variables *)
@@ -76,7 +63,6 @@ val solve :
   ?eps:float ->
   ?max_iters:int ->
   ?deadline:float ->
-  ?pricing:pricing ->
   ?workspace:Workspace.t ->
   Simplex.problem ->
   Simplex.solution
@@ -84,8 +70,8 @@ val solve :
     [deadline] is an absolute
     {!Sa_util.Timing.now} timestamp; past it the solve raises
     [Sa_util.Fail.Error (Timeout _)] (checked every 32 pivots).
-    [pricing] defaults to [Dantzig]; [workspace] defaults to the calling
-    domain's arena ({!Workspace.get}). *)
+    [workspace] defaults to the calling domain's arena
+    ({!Workspace.get}). *)
 
 val solve_warm :
   ?eps:float ->
@@ -93,7 +79,6 @@ val solve_warm :
   ?warm_start:basis ->
   ?deadline:float ->
   ?inject_warm_crash:bool ->
-  ?pricing:pricing ->
   ?workspace:Workspace.t ->
   Simplex.problem ->
   Simplex.solution * basis option * stats
@@ -123,7 +108,7 @@ val solve_warm :
 val spec_of_problem : Simplex.problem -> spec
 (** Densify-free conversion of a {!Simplex.problem} into the sparse
     {!spec} form (fresh arrays, cold path) — useful to run {!solve_spec}
-    or a {!Presolve} pipeline on a dense problem statement. *)
+    on a dense problem statement. *)
 
 val solve_spec :
   ?eps:float ->
@@ -131,16 +116,10 @@ val solve_spec :
   ?warm_start:basis ->
   ?deadline:float ->
   ?inject_warm_crash:bool ->
-  ?pricing:pricing ->
   ?workspace:Workspace.t ->
-  ?attrs:(string * string) list ->
   spec ->
   Simplex.solution * basis option * stats
 (** {!solve_warm} on a pre-built sparse {!spec} — the hot path used by
     {!Model.solve_with_basis}, skipping the O(m·n) dense materialisation
-    entirely.  For a fixed problem and pricing rule, [solve_spec] and
-    {!solve_warm} produce bitwise-identical solutions.
-
-    [attrs] are extra key/value pairs recorded on the [lp.revised.solve]
-    trace span and the [revised_solve] event — used by {!Model} to attach
-    presolve reduction counts to the solve that consumed them. *)
+    entirely.  For a fixed problem, [solve_spec] and {!solve_warm}
+    produce bitwise-identical solutions. *)

@@ -2,8 +2,7 @@
 
     A problem is [max/min cᵀx] subject to rows [aᵀx {≤,≥,=} b] with
     [x ≥ 0].  It is solved by the sparse revised simplex ({!Revised}),
-    usually through {!Model}; {!Certify} and {!Presolve} work on the same
-    types.  The paper invokes the ellipsoid method for its
+    usually through {!Model}; {!Certify} works on the same types.  The paper invokes the ellipsoid method for its
     polynomial-time arguments; any exact LP solver gives the same
     optimum. *)
 

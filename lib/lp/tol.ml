@@ -1,7 +1,7 @@
 (* Shared numerical tolerances for the LP layer.
 
    One definition for each tolerance instead of per-module copies, so the
-   revised (eta-file) simplex, presolve, certification and downstream
+   revised (eta-file) simplex, certification and downstream
    callers such as the pricing oracle agree on what "zero" means. *)
 
 let feas_eps = 1e-7

@@ -3,7 +3,7 @@
     A workspace owns one grow-only buffer per (element type, slot) pair and
     hands the same storage back on every acquisition, so steady-state
     solver traffic — FTRAN/BTRAN vectors, the eta-file backing store,
-    pricing arrays, rounding trial buffers — stops allocating per solve.
+    pricing candidate lists, rounding trial buffers — stops allocating per solve.
 
     {b Ownership contract.}  [get ()] returns the calling domain's arena
     (Domain.DLS).  This is sound because {!Sa_core.Pool} never migrates a
@@ -15,7 +15,6 @@
     - slots [16..23]: {!Model} (sparse problem staging)
     - slots [24..31]: [Sa_core.Rounding] trial buffers
     - slots [32..39]: [Sa_core.Derand] candidate buffers
-    - slots [40..47]: {!Presolve} (reduction scratch and the reduced spec)
 
     A client may hold its slots only within one self-contained computation
     and must not retain them across a call into another client.  Acquired

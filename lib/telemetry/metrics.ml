@@ -1,7 +1,7 @@
 (* Domain-safe metrics registry.
 
    Counters and histograms are backed by [Atomic] so concurrent updates
-   from domains sharded by [Sa_core.Parallel.map_array] are exact: no
+   from domains sharded by [Sa_core.Pool.map_array] are exact: no
    update is lost and counter totals are independent of the domain count
    and interleaving.  Gauges use a CAS loop for read-modify-write.
 
@@ -202,12 +202,6 @@ let counter_descriptions =
     ("lp.revised.warm_installs", "Warm-start basis installations that succeeded");
     ( "lp.revised.warm_rollbacks",
       "Warm-start installations rolled back to a cold start" );
-    ("lp.presolve.rows_removed", "Rows removed by LP presolve reductions");
-    ("lp.presolve.cols_removed", "Columns fixed at zero by LP presolve");
-    ( "lp.presolve.duplicates",
-      "Duplicate rows found by the presolve hashing pass" );
-    ( "lp.presolve.scaling_passes",
-      "Presolve equilibration sweeps that changed a scaling factor" );
     ("core.colgen.solves", "Column-generation master problems solved");
     ("core.colgen.rounds", "Column-generation pricing rounds");
     ("core.colgen.oracle_calls", "Demand-oracle invocations during pricing");

@@ -4,7 +4,7 @@
    job) with a monotonic start timestamp (Sa_util.Timing.now, origin
    arbitrary), a process-unique id, the id of the enclosing span on the
    same domain (ambient parent, kept in domain-local storage so nesting is
-   automatic and exact under Parallel.map_array sharding), and a list of
+   automatic and exact under Pool.map_array sharding), and a list of
    string key/value attributes.
 
    Completed spans land in a global ring buffer — recent history only, old
@@ -82,7 +82,7 @@ let clear () =
 (* ------------------------- ambient span context ------------------------- *)
 
 (* The stack of open spans on the current domain.  A freshly spawned domain
-   starts empty, so spans recorded from inside Parallel.map_array workers
+   starts empty, so spans recorded from inside Pool.map_array workers
    are roots of their own per-domain track (exactly what the Chrome trace
    exporter renders, one track per domain). *)
 type open_span = {

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Aggregate every BENCH_*.json in the repo root into one BENCH_summary.json
-# keyed by benchmark group name ("engine-batch", "kernels", "pricing", ...).
+# keyed by benchmark group name ("engine-batch", "kernels", "scheduler", ...).
 # Each group file is a single JSON object with a "benchmark" field (the
 # emission convention in bench/bench_util.ml).  A malformed group file —
 # empty, or missing the "benchmark" field — aborts with a non-zero exit

@@ -1,12 +1,12 @@
 #!/bin/sh
 # Repo health check: full build, test suite, an engine bench smoke run that
 # validates BENCH_engine.json, kernels + construction + resilience +
-# scheduler bench smoke runs (the scheduler smoke asserts the persistent
-# domain pool is no slower per call than spawn-per-call and that the
-# cross-job column pool preserves per-job results byte for byte), a
-# pricing smoke (devex vs dantzig certified parity, workspace-reuse
-# bitwise equality, and serve --pricing devex determinism across runs
-# and domain counts), a fault-injection smoke (serve --fault-rate twice with the
+# scheduler bench smoke runs (the kernels smoke asserts workspace-reuse
+# bitwise equality and that multi-domain colgen is no slower than one
+# domain on a host with cores to scale onto; the scheduler smoke asserts
+# the persistent domain pool is no slower per call than spawn-per-call
+# and that the cross-job column pool preserves per-job results byte for
+# byte), a fault-injection smoke (serve --fault-rate twice with the
 # same seed and across domain counts must emit byte-identical per-job
 # results, with every job served), and a telemetry smoke run that
 # validates the serve --metrics-out snapshot (parses, hot-path counters
@@ -52,12 +52,21 @@ done
 echo "== kernels smoke (bench kernels, quick mode)"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
+# The multi-domain run uses at most as many domains as the host has cores:
+# OCaml 5 minor collections stop every domain, so domains beyond the core
+# count wait on descheduled peers and the comparison measures the host,
+# not the fan-out.  A single-core host still runs 4 domains for the parity
+# checks; its scaling assertion is skipped below.
+rdom="$(sed -n 's/.*"recommended_domains":\([0-9]*\).*/\1/p' "$out" | head -n 1)"
+test -n "$rdom" || { echo "check: $out lacks recommended_domains" >&2; exit 1; }
+if [ "$rdom" -gt 1 ] && [ "$rdom" -lt 4 ]; then kdom="$rdom"; else kdom=4; fi
 kout="$tmpdir/kernels.json"
-dune exec bench/main.exe -- kernels --quick --domains 4 \
+dune exec bench/main.exe -- kernels --quick --domains "$kdom" \
   --kernels-out "$kout" >/dev/null
 
 test -s "$kout" || { echo "check: $kout missing or empty" >&2; exit 1; }
 for key in '"benchmark":"kernels"' '"graph":' '"is_independent":' '"lp":' \
+           '"workspace":' '"alloc_ratio_fresh_over_reuse":' \
            '"pipeline":' '"naive":' '"sparse_d1":' '"sparse_dN":' '"alloc_bytes":' \
            '"speedup_incremental_over_naive":' '"scaling_dN_over_d1":'; do
   grep -q -- "$key" "$kout" || { echo "check: $kout lacks $key" >&2; exit 1; }
@@ -73,6 +82,15 @@ awk "BEGIN{exit !($gspeed >= 1.0)}" \
 grep -q '"agree":true' "$kout" \
   || { echo "check: bitset kernel disagrees with dense reference" >&2; exit 1; }
 
+# warm re-solves on a reused workspace arena must be bitwise equal to
+# fresh-arena re-solves while allocating less
+grep -q '"bitwise_equal":true' "$kout" \
+  || { echo "check: workspace reuse changed solve results" >&2; exit 1; }
+wratio="$(sed -n 's/.*"alloc_ratio_fresh_over_reuse":\([0-9.]*\).*/\1/p' "$kout" | head -n 1)"
+test -n "$wratio" || { echo "check: $kout lacks alloc ratio" >&2; exit 1; }
+awk "BEGIN{exit !($wratio >= 1.0)}" \
+  || { echo "check: arena reuse allocated more than fresh (${wratio}x)" >&2; exit 1; }
+
 # naive and incremental colgen pricing walk the identical trajectory, so
 # the two pipelines must generate the same columns and reach the same LP
 # objective (dense-vs-revised simplex parity is covered by the test suite)
@@ -86,19 +104,18 @@ a1="$(grep -o '"sparse_d1":{[^{]*' "$kout" | grep -o '"alloc_bytes":[0-9]*')"
 aN="$(grep -o '"sparse_dN":{[^{]*' "$kout" | grep -o '"alloc_bytes":[0-9]*')"
 test -n "$a1" && test -n "$aN" \
   || { echo "check: $kout lacks alloc_bytes for d1/dN" >&2; exit 1; }
-echo "   kernels: graph speedup ${gspeed}x; domains 1 ${a1#*:} B vs domains 4 ${aN#*:} B allocated"
+echo "   kernels: graph speedup ${gspeed}x; reuse allocates ${wratio}x less;" \
+  "domains 1 ${a1#*:} B vs domains $kdom ${aN#*:} B allocated"
 
 # multi-domain oracle pricing must not regress versus one domain — but the
 # comparison is only meaningful when the host actually has cores to scale
 # onto, so skip it when the runtime recommends a single domain
-rdom="$(sed -n 's/.*"recommended_domains":\([0-9]*\).*/\1/p' "$kout" | head -n 1)"
-test -n "$rdom" || { echo "check: $kout lacks recommended_domains" >&2; exit 1; }
 scaling="$(sed -n 's/.*"scaling_dN_over_d1":\([0-9.]*\).*/\1/p' "$kout" | head -n 1)"
 if [ "$rdom" -gt 1 ]; then
   test -n "$scaling" || { echo "check: $kout lacks scaling ratio" >&2; exit 1; }
   awk "BEGIN{exit !($scaling >= 1.0)}" \
-    || { echo "check: dN pricing slower than d1 (${scaling}x, $rdom domains)" >&2; exit 1; }
-  echo "   kernels: dN over d1 scaling ${scaling}x with $rdom recommended domains"
+    || { echo "check: dN pricing slower than d1 (${scaling}x, $kdom of $rdom domains)" >&2; exit 1; }
+  echo "   kernels: d$kdom over d1 scaling ${scaling}x with $rdom recommended domains"
 else
   echo "   scaling assertion skipped (recommended_domains=$rdom)"
 fi
@@ -191,82 +208,6 @@ if grep -q '"same_seed_deterministic":false' "$sout"; then
   echo "check: column-pool runs not reproducible" >&2; exit 1
 fi
 echo "   scheduler: pool ${pspeed}x vs spawn-per-call, column-pool parity holds"
-
-echo "== pricing smoke (bench pricing, quick mode)"
-pout="$tmpdir/pricing.json"
-dune exec bench/main.exe -- pricing --quick --pricing-out "$pout" >/dev/null
-
-test -s "$pout" || { echo "check: $pout missing or empty" >&2; exit 1; }
-for key in '"benchmark":"pricing"' '"dantzig":' '"devex":' \
-           '"devex_pivot_savings":' '"objective_delta":' '"workspace":' \
-           '"alloc_ratio_fresh_over_reuse":'; do
-  grep -q -- "$key" "$pout" || { echo "check: $pout lacks $key" >&2; exit 1; }
-done
-# both rules must certify their optimum, devex must not pivot more than
-# dantzig, and arena reuse must be bitwise-equal while allocating less
-grep -q '"certified_parity":true' "$pout" \
-  || { echo "check: pricing rules failed certified parity" >&2; exit 1; }
-grep -q '"bitwise_equal":true' "$pout" \
-  || { echo "check: workspace reuse changed solve results" >&2; exit 1; }
-psave="$(sed -n 's/.*"devex_pivot_savings":\(-\{0,1\}[0-9.]*\).*/\1/p' "$pout" | head -n 1)"
-test -n "$psave" || { echo "check: $pout lacks pivot savings" >&2; exit 1; }
-awk "BEGIN{exit !($psave >= 0.0)}" \
-  || { echo "check: devex pivoted more than dantzig (savings $psave)" >&2; exit 1; }
-pratio="$(sed -n 's/.*"alloc_ratio_fresh_over_reuse":\([0-9.]*\).*/\1/p' "$pout" | head -n 1)"
-test -n "$pratio" || { echo "check: $pout lacks alloc ratio" >&2; exit 1; }
-awk "BEGIN{exit !($pratio >= 1.0)}" \
-  || { echo "check: arena reuse allocated more than fresh (${pratio}x)" >&2; exit 1; }
-echo "   pricing: devex saves ${psave} of pivots, reuse allocates ${pratio}x less"
-
-echo "== pricing smoke (serve --pricing devex determinism)"
-dune exec bin/auction.exe -- serve --demo --no-warm --pricing devex \
-  --results-out "$tmpdir/pv1.json" >/dev/null
-dune exec bin/auction.exe -- serve --demo --no-warm --pricing devex \
-  --results-out "$tmpdir/pv2.json" >/dev/null
-cmp "$tmpdir/pv1.json" "$tmpdir/pv2.json" \
-  || { echo "check: devex serve runs not reproducible" >&2; exit 1; }
-dune exec bin/auction.exe -- serve --demo --no-warm --pricing devex --domains 4 \
-  --results-out "$tmpdir/pv4.json" >/dev/null
-cmp "$tmpdir/pv1.json" "$tmpdir/pv4.json" \
-  || { echo "check: devex results differ between --domains 1 and 4" >&2; exit 1; }
-echo "   pricing: devex serve results byte-identical across runs and domains"
-
-echo "== presolve smoke (bench presolve, quick mode)"
-prout="$tmpdir/presolve.json"
-dune exec bench/main.exe -- presolve --quick --presolve-out "$prout" >/dev/null
-
-test -s "$prout" || { echo "check: $prout missing or empty" >&2; exit 1; }
-for key in '"benchmark":"presolve"' '"reduction":' '"dantzig":' '"devex":' \
-           '"colgen":' '"pivot_savings":'; do
-  grep -q -- "$key" "$prout" || { echo "check: $prout lacks $key" >&2; exit 1; }
-done
-# the reductions must fire (the bench instance is duplicate-heavy by
-# construction) and every off/on pair must certify the same optimum
-grep -q '"certified_parity":true' "$prout" \
-  || { echo "check: presolve off/on failed certified parity" >&2; exit 1; }
-prrows="$(sed -n 's/.*"rows_removed":\([0-9]*\).*/\1/p' "$prout" | head -n 1)"
-test -n "$prrows" || { echo "check: $prout lacks rows_removed" >&2; exit 1; }
-awk "BEGIN{exit !($prrows > 0)}" \
-  || { echo "check: presolve removed no rows (rows_removed $prrows)" >&2; exit 1; }
-echo "   presolve: $prrows rows removed, certified parity holds"
-
-echo "== presolve smoke (serve --presolve objective parity + determinism)"
-dune exec bin/auction.exe -- serve --demo --no-warm --presolve off \
-  --json "$tmpdir/pr_off.json" >/dev/null
-dune exec bin/auction.exe -- serve --demo --no-warm --presolve on \
-  --json "$tmpdir/pr_on.json" --results-out "$tmpdir/pr1.json" >/dev/null
-obj_off="$(sed -n 's/.*"total_lp_objective":\(-\{0,1\}[0-9.]*\).*/\1/p' "$tmpdir/pr_off.json" | head -n 1)"
-obj_on="$(sed -n 's/.*"total_lp_objective":\(-\{0,1\}[0-9.]*\).*/\1/p' "$tmpdir/pr_on.json" | head -n 1)"
-test -n "$obj_off" && test -n "$obj_on" \
-  || { echo "check: serve summary lacks total_lp_objective" >&2; exit 1; }
-awk "BEGIN{d = $obj_off - $obj_on; if (d < 0) d = -d; \
-           s = $obj_off; if (s < 0) s = -s; exit !(d <= 1e-6 * (1 + s))}" \
-  || { echo "check: presolve changed the LP objective ($obj_off vs $obj_on)" >&2; exit 1; }
-dune exec bin/auction.exe -- serve --demo --no-warm --presolve on --domains 4 \
-  --results-out "$tmpdir/pr4.json" >/dev/null
-cmp "$tmpdir/pr1.json" "$tmpdir/pr4.json" \
-  || { echo "check: presolve results differ between --domains 1 and 4" >&2; exit 1; }
-echo "   presolve: objectives agree off/on ($obj_off), results byte-identical across domains"
 
 echo "== input error smoke (serve --workload on a malformed file)"
 badwl="$tmpdir/bad.wl"

@@ -377,6 +377,92 @@ let prop_sparse_mass_conserved =
           < 1e-9)
         (List.init n Fun.id))
 
+(* ---------- weighted profit B&B vs its per-node-lookup reference ----------- *)
+
+(* [Indep.max_profit_weighted] as it was before it cached profits and
+   pairwise weights per call: every node calls [profit] and [Weighted.w]
+   afresh.  The cached search must agree with it bit for bit. *)
+let max_profit_weighted_reference ~node_limit wg ~candidates ~profit =
+  let cands = Array.copy candidates in
+  Array.sort (fun a b -> compare (profit b) (profit a)) cands;
+  let incoming = Array.make (Weighted.n wg) 0.0 in
+  let feasible_with chosen u =
+    let into_u = List.fold_left (fun acc v -> acc +. Weighted.w wg v u) 0.0 chosen in
+    into_u < 1.0
+    && List.for_all (fun v -> incoming.(v) +. Weighted.w wg u v < 1.0) chosen
+  in
+  let best_set = ref [] and best_p = ref 0.0 in
+  let nodes = ref 0 in
+  let rec go chosen cur_p remaining rem_total =
+    incr nodes;
+    if !nodes > node_limit then raise Exit;
+    if cur_p > !best_p then begin
+      best_p := cur_p;
+      best_set := chosen
+    end;
+    match remaining with
+    | [] -> ()
+    | u :: rest ->
+        if cur_p +. rem_total > !best_p then begin
+          if feasible_with chosen u then begin
+            List.iter (fun v -> incoming.(v) <- incoming.(v) +. Weighted.w wg u v) chosen;
+            incoming.(u) <-
+              List.fold_left (fun acc v -> acc +. Weighted.w wg v u) 0.0 chosen;
+            go (u :: chosen) (cur_p +. profit u) rest (rem_total -. profit u);
+            List.iter (fun v -> incoming.(v) <- incoming.(v) -. Weighted.w wg u v) chosen;
+            incoming.(u) <- 0.0
+          end;
+          go chosen cur_p rest (rem_total -. profit u)
+        end
+  in
+  let total = Array.fold_left (fun acc u -> acc +. profit u) 0.0 cands in
+  match go [] 0.0 (Array.to_list cands) total with
+  | () -> { Indep.set = !best_set; value = !best_p; exact = true }
+  | exception Exit ->
+      let gset, gp = Indep.greedy_profit_weighted wg ~candidates ~profit in
+      if gp > !best_p then { Indep.set = gset; value = gp; exact = false }
+      else { Indep.set = !best_set; value = !best_p; exact = false }
+
+let prop_max_profit_weighted_matches_reference =
+  QCheck.Test.make ~count:200
+    ~name:"weighted profit B&B = per-node-lookup reference (bitwise)"
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let g = Prng.create ~seed in
+      let n = 2 + Prng.int g 13 in
+      let wg =
+        if Prng.bool g then
+          Weighted.of_function n (fun u v ->
+              if u <> v && Prng.bernoulli g 0.5 then Prng.float g 0.7 else 0.0)
+        else
+          let entries =
+            List.concat_map
+              (fun u ->
+                List.filter_map
+                  (fun v ->
+                    if u <> v && Prng.bernoulli g 0.4 then Some (u, v, Prng.float g 0.7)
+                    else None)
+                  (List.init n Fun.id))
+              (List.init n Fun.id)
+          in
+          Weighted.of_entries n (Array.of_list entries)
+      in
+      let candidates =
+        Array.of_list (List.filter (fun _ -> Prng.bernoulli g 0.7) (Array.to_list (Prng.permutation g n)))
+      in
+      (* ties in profit exercise the sort; wbar-based profits are what rho uses *)
+      let v = Prng.int g n in
+      let coarse = Array.init n (fun _ -> float_of_int (Prng.int g 4)) in
+      let profit =
+        if Prng.bool g then fun u -> Weighted.wbar wg u v else fun u -> coarse.(u)
+      in
+      let node_limit = [| 3; 40; 1_000_000 |].(Prng.int g 3) in
+      let a = Indep.max_profit_weighted ~node_limit wg ~candidates ~profit in
+      let b = max_profit_weighted_reference ~node_limit wg ~candidates ~profit in
+      a.Indep.set = b.Indep.set
+      && Int64.bits_of_float a.Indep.value = Int64.bits_of_float b.Indep.value
+      && a.Indep.exact = b.Indep.exact)
+
 (* ---------- Generators ----------------------------------------------------- *)
 
 let test_gnp_extremes () =
@@ -544,4 +630,5 @@ let suite =
     Alcotest.test_case "sparse: all entries dropped" `Quick test_sparse_all_dropped;
     Alcotest.test_case "sparse: dropped_in seeding" `Quick test_sparse_dropped_in_seed;
     QCheck_alcotest.to_alcotest prop_sparse_mass_conserved;
+    QCheck_alcotest.to_alcotest prop_max_profit_weighted_matches_reference;
   ]

@@ -279,7 +279,7 @@ let prop_certify_min_random =
    rows and zero right-hand sides force ties in the ratio test and
    zero-length pivots.  The certificates must still come back with clean
    feasibility flags and a duality gap within tolerance — for the dense
-   tableau and for the revised engine under both pricing rules. *)
+   tableau and for the revised engine. *)
 let prop_certify_degenerate =
   QCheck.Test.make ~name:"degenerate packing LPs certify (flags + gap)"
     ~count:80
@@ -315,69 +315,136 @@ let prop_certify_degenerate =
           && r.Sa_lp.Certify.duality_gap
              <= 1e-6 *. Float.max 1.0 (Float.abs s.Simplex.objective)
           && r.Sa_lp.Certify.certified
-          && List.for_all
-               (fun pricing ->
-                 let b = Sa_lp.Revised.solve ~pricing p in
-                 b.Simplex.status = Simplex.Optimal
-                 && (Sa_lp.Certify.check p b).Sa_lp.Certify.certified)
-               [ Sa_lp.Revised.Dantzig; Sa_lp.Revised.Devex ]
+          &&
+          let b = Sa_lp.Revised.solve p in
+          b.Simplex.status = Simplex.Optimal
+          && (Sa_lp.Certify.check p b).Sa_lp.Certify.certified
       | _ -> false)
 
-let test_certify_edge_cases () =
-  (* zero row: 0·x <= 1 is vacuous but must still be priced; single column
-     with redundant parallel rows sits at a degenerate vertex *)
-  let p_zero_row =
-    {
-      Simplex.direction = Simplex.Maximize;
-      c = [| 1.0 |];
-      rows = [| ([| 0.0 |], Simplex.Le, 1.0); ([| 1.0 |], Simplex.Le, 2.0) |];
-    }
-  in
-  let p_single_col =
-    {
-      Simplex.direction = Simplex.Maximize;
-      c = [| 3.0 |];
-      rows =
-        [|
-          ([| 1.0 |], Simplex.Le, 2.0);
-          ([| 2.0 |], Simplex.Le, 4.0);
-          ([| 1.0 |], Simplex.Le, 2.0);
-        |];
-    }
-  in
+let max_lp c rows = { Simplex.direction = Simplex.Maximize; c; rows }
+
+(* Runs each [(name, problem, optimum)] on the dense tableau and the
+   revised engine: both must reach the known optimum, certify, and agree
+   with each other within [Tol.cert_eps].  Returns the revised solutions
+   for case-specific checks. *)
+let check_edge_cases cases =
   let solvers =
+    [ ("dense", fun p -> Dense_tableau.solve p); ("revised", fun p -> Sa_lp.Revised.solve p) ]
+  in
+  List.map
+    (fun (name, p, expect) ->
+      let sols =
+        List.map
+          (fun (ename, solve) ->
+            let tag msg = Printf.sprintf "%s %s (%s)" name msg ename in
+            let s = solve p in
+            Alcotest.(check bool)
+              (tag "optimal") true
+              (s.Simplex.status = Simplex.Optimal);
+            Alcotest.(check (float 1e-9)) (tag "objective") expect
+              s.Simplex.objective;
+            let r = Sa_lp.Certify.check p s in
+            Alcotest.(check bool)
+              (tag "primal feasible") true r.Sa_lp.Certify.primal_feasible;
+            Alcotest.(check bool)
+              (tag "dual feasible") true r.Sa_lp.Certify.dual_feasible;
+            Alcotest.(check bool)
+              (tag "gap within tolerance") true
+              (r.Sa_lp.Certify.duality_gap <= 1e-6);
+            Alcotest.(check bool) (tag "certified") true r.Sa_lp.Certify.certified;
+            s)
+          solvers
+      in
+      match sols with
+      | [ dense; revised ] ->
+          Alcotest.(check bool)
+            (name ^ " revised = dense within cert_eps") true
+            (Float.abs (dense.Simplex.objective -. revised.Simplex.objective)
+            <= Sa_lp.Tol.cert_eps *. Float.max 1.0 (Float.abs dense.Simplex.objective));
+          revised
+      | _ -> assert false)
+    cases
+
+(* A zero row (vacuous, but still priced) and a single column under
+   redundant parallel rows, which sits at a degenerate vertex. *)
+let test_certify_edge_cases () =
+  ignore
+    (check_edge_cases
+       [
+         ( "zero-row",
+           max_lp [| 1.0 |] [| ([| 0.0 |], Simplex.Le, 1.0); ([| 1.0 |], Simplex.Le, 2.0) |],
+           2.0 );
+         ( "single-col",
+           max_lp [| 3.0 |]
+             [|
+               ([| 1.0 |], Simplex.Le, 2.0);
+               ([| 2.0 |], Simplex.Le, 4.0);
+               ([| 1.0 |], Simplex.Le, 2.0);
+             |],
+           6.0 );
+       ])
+
+(* The shapes a presolve would reduce away, solved unreduced: rows that pin
+   every variable at zero beside an all-zero row, identical columns fully
+   dominated by the most valuable one, a 1x1 LP, exact plus looser
+   duplicate rows beside an empty row, and an irreducible covering LP.
+   Primal values and duals must come out in original coordinates. *)
+let test_presolve_edge_cases () =
+  let cases =
     [
-      ("dense", fun p -> Dense_tableau.solve p);
-      ( "revised-dantzig",
-        fun p -> Sa_lp.Revised.solve ~pricing:Sa_lp.Revised.Dantzig p );
-      ( "revised-devex",
-        fun p -> Sa_lp.Revised.solve ~pricing:Sa_lp.Revised.Devex p );
+      ( "all-fixed",
+        max_lp [| 1.0; 2.0 |]
+          [|
+            ([| 1.0; 0.0 |], Simplex.Le, 0.0);
+            ([| 0.0; 1.0 |], Simplex.Le, 0.0);
+            ([| 0.0; 0.0 |], Simplex.Le, 5.0);
+          |],
+        0.0 );
+      ( "dominated-cols",
+        max_lp [| 5.0; 4.0; 3.0 |] [| ([| 1.0; 1.0; 1.0 |], Simplex.Le, 1.0) |],
+        5.0 );
+      ("one-by-one", max_lp [| 3.0 |] [| ([| 2.0 |], Simplex.Le, 4.0) |], 6.0);
+      ( "duplicate-rows",
+        max_lp [| 4.0; 3.0; 2.0 |]
+          [|
+            ([| 1.0; 1.0; 1.0 |], Simplex.Le, 2.0);
+            ([| 2.0; 1.0; 1.0 |], Simplex.Le, 3.0);
+            ([| 1.0; 1.0; 1.0 |], Simplex.Le, 2.0);
+            ([| 2.0; 1.0; 1.0 |], Simplex.Le, 4.5);
+            ([| 0.0; 0.0; 0.0 |], Simplex.Le, 1.0);
+          |],
+        7.0 );
+      ( "irreducible",
+        {
+          Simplex.direction = Simplex.Minimize;
+          c = [| 1.0; 1.0 |];
+          rows =
+            [|
+              ([| 1.0; 2.0 |], Simplex.Ge, 4.0); ([| 3.0; 1.0 |], Simplex.Ge, 6.0);
+            |];
+        },
+        2.8 );
     ]
   in
-  List.iter
-    (fun (name, p, expect) ->
-      List.iter
-        (fun (ename, solve) ->
-          let tag msg = Printf.sprintf "%s %s (%s)" name msg ename in
-          let s = solve p in
-          Alcotest.(check bool)
-            (tag "optimal") true
-            (s.Simplex.status = Simplex.Optimal);
-          Alcotest.(check (float 1e-9)) (tag "objective") expect
-            s.Simplex.objective;
-          let r = Sa_lp.Certify.check p s in
-          Alcotest.(check bool)
-            (tag "primal feasible") true r.Sa_lp.Certify.primal_feasible;
-          Alcotest.(check bool)
-            (tag "dual feasible") true r.Sa_lp.Certify.dual_feasible;
-          Alcotest.(check bool)
-            (tag "gap within tolerance") true
-            (r.Sa_lp.Certify.duality_gap <= 1e-6);
-          Alcotest.(check bool) (tag "certified") true r.Sa_lp.Certify.certified)
-        solvers)
-    [ ("zero-row", p_zero_row, 2.0); ("single-col", p_single_col, 6.0) ]
+  match check_edge_cases cases with
+  | [ fixed; dominated; tiny; dup; irreducible ] ->
+      check_float "all-fixed x0" 0.0 fixed.Simplex.x.(0);
+      check_float "all-fixed x1" 0.0 fixed.Simplex.x.(1);
+      check_float "all-fixed fixing dual 0" 1.0 fixed.Simplex.duals.(0);
+      check_float "all-fixed fixing dual 1" 2.0 fixed.Simplex.duals.(1);
+      check_float "all-fixed redundant dual" 0.0 fixed.Simplex.duals.(2);
+      check_float "dominated x0" 1.0 dominated.Simplex.x.(0);
+      check_float "dominated x1" 0.0 dominated.Simplex.x.(1);
+      check_float "dominated x2" 0.0 dominated.Simplex.x.(2);
+      check_float "1x1 x" 2.0 tiny.Simplex.x.(0);
+      check_float "1x1 dual" 1.5 tiny.Simplex.duals.(0);
+      check_float "duplicate-rows looser row dual" 0.0 dup.Simplex.duals.(3);
+      check_float "duplicate-rows empty row dual" 0.0 dup.Simplex.duals.(4);
+      check_float "irreducible x0" 1.6 irreducible.Simplex.x.(0);
+      check_float "irreducible x1" 1.2 irreducible.Simplex.x.(1)
+  | _ -> assert false
 
-(* ---------- Pricing rules + workspace reuse ----------------------------- *)
+(* ---------- Workspace reuse --------------------------------------------- *)
 
 let random_packing_problem g =
   let nb = 2 + Prng.int g 5 and k = 1 + Prng.int g 3 in
@@ -403,31 +470,11 @@ let random_packing_problem g =
     rows = Array.append unit_rows intf_rows;
   }
 
-(* Devex and Dantzig walk different pivot sequences but must certify the
-   same optimum on packing LPs (every column is covered by its owner's
-   unit row, so the LP is bounded and feasible). *)
-let prop_devex_dantzig_parity =
-  QCheck.Test.make ~name:"devex = dantzig: certified objective parity"
-    ~count:60
-    QCheck.(int_range 1 1_000_000)
-    (fun seed ->
-      let g = Prng.create ~seed in
-      let p = random_packing_problem g in
-      let d = Sa_lp.Revised.solve ~pricing:Sa_lp.Revised.Dantzig p in
-      let x = Sa_lp.Revised.solve ~pricing:Sa_lp.Revised.Devex p in
-      match (d.Simplex.status, x.Simplex.status) with
-      | Simplex.Optimal, Simplex.Optimal ->
-          (Sa_lp.Certify.check p d).Sa_lp.Certify.certified
-          && (Sa_lp.Certify.check p x).Sa_lp.Certify.certified
-          && Float.abs (d.Simplex.objective -. x.Simplex.objective)
-             <= 1e-6 *. Float.max 1.0 (Float.abs d.Simplex.objective)
-      | sd, sx -> sd = sx)
-
 (* Workspace-reuse solves must be bitwise equal to fresh-allocation solves:
    the shared arena first runs a different LP — leaving grown buffers full
    of stale data — and then the probe LP.  Every buffer the solver reads
    must have been re-initialised over its used range, so the result matches
-   a virgin arena's bit for bit, under both pricing rules. *)
+   a virgin arena's bit for bit. *)
 let prop_workspace_reuse_bitwise =
   QCheck.Test.make ~name:"workspace reuse bitwise = fresh arena" ~count:40
     QCheck.(int_range 1 1_000_000)
@@ -441,310 +488,11 @@ let prop_workspace_reuse_bitwise =
           Array.map Int64.bits_of_float s.Simplex.duals,
           Int64.bits_of_float s.Simplex.objective )
       in
-      List.for_all
-        (fun pricing ->
-          let fresh =
-            Sa_lp.Revised.solve ~pricing
-              ~workspace:(Sa_lp.Workspace.create ())
-              p
-          in
-          let arena = Sa_lp.Workspace.create () in
-          ignore (Sa_lp.Revised.solve ~pricing ~workspace:arena decoy);
-          let reused = Sa_lp.Revised.solve ~pricing ~workspace:arena p in
-          bits fresh = bits reused)
-        [ Sa_lp.Revised.Dantzig; Sa_lp.Revised.Devex ])
-
-(* ---------- Presolve ----------------------------------------------------- *)
-
-module Presolve = Sa_lp.Presolve
-
-let solution_bits s =
-  ( s.Simplex.status,
-    Array.map Int64.bits_of_float s.Simplex.x,
-    Array.map Int64.bits_of_float s.Simplex.duals,
-    Int64.bits_of_float s.Simplex.objective )
-
-(* A packing LP engineered so the only presolve reductions are the junk we
-   inject — and each injected reduction is pivot-path-neutral, so the
-   presolved solve must match the raw solve {e bitwise}:
-   - every bidder owns two columns and every interference row has >= 2
-     entries (no singleton rows, no empty rows in the base matrix);
-   - same-owner columns get distinct interference supports (membership
-     [(cix + r) mod 3 < 2]), so no accidental cross-column domination with
-     unequal values — only the injected exact-duplicate columns group;
-   - appended exact-duplicate rows carry strictly larger rhs (their slack
-     never wins the ratio test against the kept twin's);
-   - appended exact-duplicate columns carry strictly smaller objective
-     (their reduced cost always trails the original's, so they never
-     enter);
-   - sizes keep nstruct + m <= 16, so the Dantzig partial-pricing window
-     always covers every column, and pivots stay far below the
-     refactorization interval. *)
-let presolve_probe g =
-  let nb = 2 in
-  let mult = 2 in
-  let k = 1 + Prng.int g 2 in
-  let ncols0 = nb * mult in
-  let owner = Array.init ncols0 (fun cix -> cix mod nb) in
-  let c0 = Array.init ncols0 (fun _ -> 0.1 +. Prng.float g 10.0) in
-  let unit_rows =
-    Array.init nb (fun v ->
-        ( Array.init ncols0 (fun cix -> if owner.(cix) = v then 1.0 else 0.0),
-          Simplex.Le,
-          1.0 ))
-  in
-  let intf_rows =
-    Array.init (nb * k) (fun r ->
-        ( Array.init ncols0 (fun cix ->
-              if (cix + r) mod 3 < 2 then 0.1 +. Prng.float g 1.0 else 0.0),
-          Simplex.Le,
-          1.0 +. Prng.float g 2.0 ))
-  in
-  let rows0 = Array.append unit_rows intf_rows in
-  (* duplicate columns, strictly cheaper, appended after the originals *)
-  let dup_srcs = [| Prng.int g ncols0; Prng.int g ncols0 |] in
-  let ncols = ncols0 + Array.length dup_srcs in
-  let extend a = Array.init ncols (fun j -> if j < ncols0 then a.(j) else a.(dup_srcs.(j - ncols0))) in
-  let c = extend c0 in
-  Array.iteri (fun d src -> c.(ncols0 + d) <- 0.5 *. c0.(src)) dup_srcs;
-  let rows = Array.map (fun (a, rel, b) -> (extend a, rel, b)) rows0 in
-  (* duplicate rows with strictly larger rhs, plus a zero row, appended *)
-  let dup_row i slack =
-    let a, rel, b = rows.(i) in
-    (Array.copy a, rel, b +. slack)
-  in
-  let nrows0 = Array.length rows in
-  let junk =
-    [|
-      dup_row (Prng.int g nrows0) 0.5;
-      dup_row (Prng.int g nrows0) (1.0 +. Prng.float g 1.0);
-      (Array.make ncols 0.0, Simplex.Le, 1.0);
-    |]
-  in
-  { Simplex.direction = Simplex.Maximize; c; rows = Array.append rows junk }
-
-let no_scaling = { Presolve.reductions = true; scaling = false }
-
-let prop_presolve_postsolve_bitwise =
-  QCheck.Test.make
-    ~name:"presolve o postsolve bitwise = raw solve (both pricings)" ~count:60
-    QCheck.(int_range 1 1_000_000)
-    (fun seed ->
-      let g = Prng.create ~seed in
-      let p = presolve_probe g in
-      let spec = Sa_lp.Revised.spec_of_problem p in
-      List.for_all
-        (fun pricing ->
-          let baseline, _, _ =
-            Sa_lp.Revised.solve_spec ~pricing
-              ~workspace:(Sa_lp.Workspace.create ())
-              spec
-          in
-          let ws = Sa_lp.Workspace.create () in
-          match Presolve.reduce ~config:no_scaling ~workspace:ws spec with
-          | None -> false (* the injected junk guarantees reductions *)
-          | Some (reduced, pr) ->
-              let info = Presolve.info pr in
-              let rsol, rbasis, _ =
-                Sa_lp.Revised.solve_spec ~pricing ~workspace:ws reduced
-              in
-              let sol = Presolve.postsolve pr rsol in
-              info.Presolve.rows_removed >= 3
-              && info.Presolve.cols_removed >= 2
-              && info.Presolve.duplicates >= 2
-              && solution_bits sol = solution_bits baseline
-              && (Sa_lp.Certify.check p sol).Sa_lp.Certify.certified
-              &&
-              (* the lifted optimal basis warm-starts the raw LP *)
-              match Option.bind rbasis (Presolve.map_basis_out pr) with
-              | Some ob ->
-                  let s2, _, st2 =
-                    Sa_lp.Revised.solve_spec ~pricing ~warm_start:ob
-                      ~workspace:(Sa_lp.Workspace.create ())
-                      spec
-                  in
-                  st2.Sa_lp.Revised.warm_used
-                  && Float.abs (s2.Simplex.objective -. sol.Simplex.objective)
-                     <= 1e-9 *. Float.max 1.0 (Float.abs sol.Simplex.objective)
-              | None -> false)
-        [ Sa_lp.Revised.Dantzig; Sa_lp.Revised.Devex ])
-
-(* Full pipeline (reductions + power-of-two scaling) on unconstrained
-   random packing LPs: the pivot path may legitimately differ, but the
-   postsolved solution must certify against the *original* problem and
-   agree with the raw objective within tolerance. *)
-let prop_presolve_certified_parity =
-  QCheck.Test.make ~name:"presolve+scaling certified parity" ~count:40
-    QCheck.(int_range 1 1_000_000)
-    (fun seed ->
-      let g = Prng.create ~seed in
-      let p = random_packing_problem g in
-      let spec = Sa_lp.Revised.spec_of_problem p in
-      List.for_all
-        (fun pricing ->
-          let baseline, _, _ =
-            Sa_lp.Revised.solve_spec ~pricing
-              ~workspace:(Sa_lp.Workspace.create ())
-              spec
-          in
-          let ws = Sa_lp.Workspace.create () in
-          match Presolve.reduce ~workspace:ws spec with
-          | None -> true (* nothing to reduce or scale: raw solve is used *)
-          | Some (reduced, pr) ->
-              let rsol, _, _ =
-                Sa_lp.Revised.solve_spec ~pricing ~workspace:ws reduced
-              in
-              let sol = Presolve.postsolve pr rsol in
-              (match (sol.Simplex.status, baseline.Simplex.status) with
-              | Simplex.Optimal, Simplex.Optimal ->
-                  (Sa_lp.Certify.check p sol).Sa_lp.Certify.certified
-                  && Float.abs (sol.Simplex.objective -. baseline.Simplex.objective)
-                     <= 1e-6 *. Float.max 1.0 (Float.abs baseline.Simplex.objective)
-              | s, s' -> s = s'))
-        [ Sa_lp.Revised.Dantzig; Sa_lp.Revised.Devex ])
-
-let test_presolve_edge_cases () =
-  (* all rows (and columns) presolved away: fixing rows get reconstructed
-     duals and the empty reduced LP still certifies in original space *)
-  let p_all_fixed =
-    {
-      Simplex.direction = Simplex.Maximize;
-      c = [| 1.0; 2.0 |];
-      rows =
-        [|
-          ([| 1.0; 0.0 |], Simplex.Le, 0.0);
-          ([| 0.0; 1.0 |], Simplex.Le, 0.0);
-          ([| 0.0; 0.0 |], Simplex.Le, 5.0);
-        |];
-    }
-  in
-  let spec = Sa_lp.Revised.spec_of_problem p_all_fixed in
-  let ws = Sa_lp.Workspace.create () in
-  (match Presolve.reduce ~workspace:ws spec with
-  | None -> Alcotest.fail "expected reductions on the all-fixed model"
-  | Some (reduced, pr) ->
-      Alcotest.(check int) "all rows removed" 3 (Presolve.info pr).Presolve.rows_removed;
-      Alcotest.(check int) "all cols removed" 2 (Presolve.info pr).Presolve.cols_removed;
-      let rsol, _, _ = Sa_lp.Revised.solve_spec ~workspace:ws reduced in
-      let sol = Presolve.postsolve pr rsol in
-      Alcotest.check status_testable "status" Simplex.Optimal sol.Simplex.status;
-      check_float "objective" 0.0 sol.Simplex.objective;
-      check_float "x0" 0.0 sol.Simplex.x.(0);
-      check_float "x1" 0.0 sol.Simplex.x.(1);
-      check_float "fixing dual 0" 1.0 sol.Simplex.duals.(0);
-      check_float "fixing dual 1" 2.0 sol.Simplex.duals.(1);
-      check_float "redundant dual" 0.0 sol.Simplex.duals.(2);
-      Alcotest.(check bool)
-        "certified" true
-        (Sa_lp.Certify.check p_all_fixed sol).Sa_lp.Certify.certified);
-  (* fully dominated model: one column survives *)
-  let p_dominated =
-    {
-      Simplex.direction = Simplex.Maximize;
-      c = [| 5.0; 4.0; 3.0 |];
-      rows = [| ([| 1.0; 1.0; 1.0 |], Simplex.Le, 1.0) |];
-    }
-  in
-  let spec = Sa_lp.Revised.spec_of_problem p_dominated in
-  let ws = Sa_lp.Workspace.create () in
-  (match Presolve.reduce ~config:no_scaling ~workspace:ws spec with
-  | None -> Alcotest.fail "expected column elimination on the dominated model"
-  | Some (reduced, pr) ->
-      Alcotest.(check int) "dominated cols removed" 2
-        (Presolve.info pr).Presolve.cols_removed;
-      Alcotest.(check int) "one col left" 1 reduced.Sa_lp.Revised.s_nstruct;
-      let rsol, _, _ = Sa_lp.Revised.solve_spec ~workspace:ws reduced in
-      let sol = Presolve.postsolve pr rsol in
-      check_float "objective" 5.0 sol.Simplex.objective;
-      check_float "x0" 1.0 sol.Simplex.x.(0);
-      check_float "x1" 0.0 sol.Simplex.x.(1);
-      check_float "x2" 0.0 sol.Simplex.x.(2);
-      Alcotest.(check bool)
-        "certified" true
-        (Sa_lp.Certify.check p_dominated sol).Sa_lp.Certify.certified);
-  (* 1x1 LP, scaling only: power-of-two unscaling is exact *)
-  let p_tiny =
-    {
-      Simplex.direction = Simplex.Maximize;
-      c = [| 3.0 |];
-      rows = [| ([| 2.0 |], Simplex.Le, 4.0) |];
-    }
-  in
-  let spec = Sa_lp.Revised.spec_of_problem p_tiny in
-  let ws = Sa_lp.Workspace.create () in
-  (match Presolve.reduce ~workspace:ws spec with
-  | None -> Alcotest.fail "expected a scaling pass on the 1x1 model"
-  | Some (reduced, pr) ->
-      Alcotest.(check bool)
-        "scaling pass ran" true
-        ((Presolve.info pr).Presolve.scaling_passes >= 1);
-      let rsol, _, _ = Sa_lp.Revised.solve_spec ~workspace:ws reduced in
-      let sol = Presolve.postsolve pr rsol in
-      let raw =
-        Sa_lp.Revised.solve ~workspace:(Sa_lp.Workspace.create ()) p_tiny
-      in
-      Alcotest.(check bool)
-        "bitwise equal to raw solve" true
-        (solution_bits sol = solution_bits raw);
-      check_float "objective" 6.0 sol.Simplex.objective;
-      check_float "x" 2.0 sol.Simplex.x.(0);
-      check_float "dual" 1.5 sol.Simplex.duals.(0));
-  (* irreducible spec: reduce declines *)
-  let p_irreducible =
-    {
-      Simplex.direction = Simplex.Minimize;
-      c = [| 1.0; 1.0 |];
-      rows =
-        [|
-          ([| 1.0; 2.0 |], Simplex.Ge, 4.0); ([| 3.0; 1.0 |], Simplex.Ge, 6.0);
-        |];
-    }
-  in
-  let spec = Sa_lp.Revised.spec_of_problem p_irreducible in
-  match
-    Presolve.reduce ~config:no_scaling ~workspace:(Sa_lp.Workspace.create ()) spec
-  with
-  | None -> ()
-  | Some _ -> Alcotest.fail "expected no reductions on the irreducible model"
-
-(* The integrated path: Model.solve_with_basis ~presolve composes with the
-   warm-start token contract (bases stay in original coordinates). *)
-let test_presolve_model_integration () =
-  let build () =
-    let m = Model.create Simplex.Maximize in
-    let x0 = Model.add_var m ~obj:4.0 in
-    let x1 = Model.add_var m ~obj:3.0 in
-    let x2 = Model.add_var m ~obj:2.0 (* duplicate of x1, cheaper *) in
-    ignore (Model.add_row m [ (x0, 1.0); (x1, 1.0); (x2, 1.0) ] Simplex.Le 2.0);
-    ignore (Model.add_row m [ (x0, 2.0); (x1, 1.0); (x2, 1.0) ] Simplex.Le 3.0);
-    ignore (Model.add_row m [ (x0, 2.0); (x1, 1.0); (x2, 1.0) ] Simplex.Le 4.5);
-    ignore (Model.add_row m [] Simplex.Le 1.0);
-    m
-  in
-  let plain = Model.solve_with_basis ~workspace:(Sa_lp.Workspace.create ()) (build ()) in
-  let pre =
-    Model.solve_with_basis ~presolve:true
-      ~workspace:(Sa_lp.Workspace.create ()) (build ())
-  in
-  Alcotest.check status_testable "status" Simplex.Optimal
-    pre.Model.solution.Model.status;
-  check_float "objective parity" plain.Model.solution.Model.objective
-    pre.Model.solution.Model.objective;
-  (match pre.Model.basis with
-  | None -> Alcotest.fail "presolved solve should return a basis"
-  | Some basis ->
-      let rewarmed =
-        Model.solve_with_basis ~presolve:true ~warm_start:basis
-          ~workspace:(Sa_lp.Workspace.create ()) (build ())
-      in
-      Alcotest.(check bool)
-        "warm start survives presolve" true
-        rewarmed.Model.stats.Sa_lp.Revised.warm_used;
-      check_float "rewarmed objective" pre.Model.solution.Model.objective
-        rewarmed.Model.solution.Model.objective);
-  (* duals exposed by the model are already postsolved to original rows *)
-  check_float "redundant row dual" 0.0 (pre.Model.solution.Model.dual 2);
-  check_float "empty row dual" 0.0 (pre.Model.solution.Model.dual 3)
+      let fresh = Sa_lp.Revised.solve ~workspace:(Sa_lp.Workspace.create ()) p in
+      let arena = Sa_lp.Workspace.create () in
+      ignore (Sa_lp.Revised.solve ~workspace:arena decoy);
+      let reused = Sa_lp.Revised.solve ~workspace:arena p in
+      bits fresh = bits reused)
 
 (* ---------- Revised simplex cross-validation --------------------------- *)
 
@@ -873,8 +621,8 @@ let prop_eta_warm_matches_dense_across_domains =
         && st2.Sa_lp.Revised.warm_used
       in
       dense.Simplex.status = Simplex.Optimal
-      && Array.for_all Fun.id (Sa_core.Fanout.map_array ~domains:1 run (Array.init 2 Fun.id))
-      && Array.for_all Fun.id (Sa_core.Fanout.map_array ~domains:4 run (Array.init 4 Fun.id)))
+      && Array.for_all Fun.id (Sa_core.Pool.map_array ~domains:1 run (Array.init 2 Fun.id))
+      && Array.for_all Fun.id (Sa_core.Pool.map_array ~domains:4 run (Array.init 4 Fun.id)))
 
 let suite =
   [
@@ -904,11 +652,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_certify_degenerate;
     Alcotest.test_case "certify edge cases (zero row, single column)" `Quick
       test_certify_edge_cases;
-    QCheck_alcotest.to_alcotest prop_devex_dantzig_parity;
-    QCheck_alcotest.to_alcotest prop_workspace_reuse_bitwise;
-    QCheck_alcotest.to_alcotest prop_presolve_postsolve_bitwise;
-    QCheck_alcotest.to_alcotest prop_presolve_certified_parity;
     Alcotest.test_case "presolve edge cases" `Quick test_presolve_edge_cases;
-    Alcotest.test_case "presolve model integration" `Quick
-      test_presolve_model_integration;
+    QCheck_alcotest.to_alcotest prop_workspace_reuse_bitwise;
   ]

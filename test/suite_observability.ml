@@ -4,7 +4,7 @@
    The load-bearing properties: span parent/child links are exact (no
    orphans while the ring holds everything; children nest inside their
    parent's interval on the same domain, including under
-   Parallel.map_array), the event log renders byte-identically at any
+   Pool.map_array), the event log renders byte-identically at any
    --domains value, the Chrome exporter emits schema-valid JSON for any
    span contents, and /metrics serves every well-known metric. *)
 
@@ -13,7 +13,7 @@ module Trace = Sa_telemetry.Trace
 module Export = Sa_telemetry.Export
 module Eventlog = Sa_telemetry.Eventlog
 module Http = Sa_telemetry.Http
-module Parallel = Sa_core.Parallel
+module Pool = Sa_core.Pool
 module Workloads = Sa_exp.Workloads
 module Engine = Sa_engine.Engine
 
@@ -82,7 +82,7 @@ let test_span_wellformed_across_domains () =
   let registry = Metrics.create () in
   let h = Metrics.histogram ~registry "obs.par.seconds" in
   ignore
-    (Parallel.map_array ~domains:4
+    (Pool.map_array ~domains:4
        (fun i ->
          Trace.with_span ~hist:h "task" (fun () ->
              Trace.add_attr "task" (string_of_int i);

@@ -1,69 +1,62 @@
-(* Tests for the multicore execution paths. *)
+(* Tests for the multicore rounding path: Rounding.solve_par fans its
+   trials over the domain pool with one PRNG stream per trial. *)
 
-module Prng = Sa_util.Prng
 module Instance = Sa_core.Instance
 module Allocation = Sa_core.Allocation
 module Lp = Sa_core.Lp_relaxation
-module Derand = Sa_core.Derand
-module Parallel = Sa_core.Parallel
+module Rounding = Sa_core.Rounding
 module Workloads = Sa_exp.Workloads
 
 let fixture seed = Workloads.protocol_instance ~seed ~n:12 ~k:2 ()
 
+let weighted_fixture seed =
+  fst
+    (Workloads.sinr_fixed_instance ~seed ~n:10 ~k:2
+       ~scheme:Sa_wireless.Sinr.Uniform ())
+
 let test_parallel_rounding_feasible () =
-  let inst = fixture 1 in
-  let frac = Lp.solve_explicit inst in
   List.iter
-    (fun domains ->
-      let alloc = Parallel.solve_rounding ~domains ~trials_per_domain:2 ~seed:5 inst frac in
-      Alcotest.(check bool)
-        (Printf.sprintf "%d domains feasible" domains)
-        true
-        (Allocation.is_feasible inst alloc);
-      Alcotest.(check bool) "below LP" true
-        (Allocation.value inst alloc <= frac.Lp.objective +. 1e-6))
-    [ 1; 2; 4 ]
+    (fun (what, inst) ->
+      let frac = Lp.solve_explicit inst in
+      List.iter
+        (fun domains ->
+          let alloc = Rounding.solve_par ~domains ~trials:6 ~seed:5 inst frac in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %d domains feasible" what domains)
+            true
+            (Allocation.is_feasible inst alloc);
+          Alcotest.(check bool) (what ^ ": below LP") true
+            (Allocation.value inst alloc <= frac.Lp.objective +. 1e-6))
+        [ 1; 2; 4 ])
+    [ ("unweighted", fixture 1); ("edge-weighted", weighted_fixture 1) ]
 
 let test_parallel_rounding_deterministic () =
-  let inst = fixture 2 in
-  let frac = Lp.solve_explicit inst in
-  let a = Parallel.solve_rounding ~domains:3 ~trials_per_domain:2 ~seed:7 inst frac in
-  let b = Parallel.solve_rounding ~domains:3 ~trials_per_domain:2 ~seed:7 inst frac in
-  Alcotest.(check (float 1e-12)) "same value across runs"
-    (Allocation.value inst a) (Allocation.value inst b)
-
-let test_parallel_derand_matches_sequential () =
-  let inst = fixture 3 in
-  let frac = Lp.solve_explicit inst in
-  let seq = Derand.algorithm1_derand inst frac in
   List.iter
-    (fun domains ->
-      let par = Parallel.derand1 ~domains inst frac in
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "%d domains = sequential value" domains)
-        (Allocation.value inst seq)
-        (Allocation.value inst par);
-      Alcotest.(check bool) "feasible" true (Allocation.is_feasible inst par))
-    [ 1; 2; 3 ]
+    (fun (what, inst) ->
+      let frac = Lp.solve_explicit inst in
+      let a = Rounding.solve_par ~domains:3 ~trials:6 ~seed:7 inst frac in
+      let b = Rounding.solve_par ~domains:3 ~trials:6 ~seed:7 inst frac in
+      let c = Rounding.solve_par ~domains:1 ~trials:6 ~seed:7 inst frac in
+      Alcotest.(check bool) (what ^ ": same allocation across runs") true (a = b);
+      Alcotest.(check bool) (what ^ ": same allocation at 1 domain") true (a = c))
+    [ ("unweighted", fixture 2); ("edge-weighted", weighted_fixture 2) ]
 
 let test_parallel_validation () =
   let inst = fixture 4 in
   let frac = Lp.solve_explicit inst in
+  Alcotest.check_raises "bad trials"
+    (Invalid_argument "Rounding.solve_par: trials must be >= 1") (fun () ->
+      ignore (Rounding.solve_par ~trials:0 ~seed:1 inst frac));
   Alcotest.check_raises "bad domains"
-    (Invalid_argument "Parallel.solve_rounding: domains must be >= 1") (fun () ->
-      ignore (Parallel.solve_rounding ~domains:0 ~seed:1 inst frac));
-  let winst, _ =
-    Workloads.sinr_fixed_instance ~seed:5 ~n:8 ~k:2 ~scheme:Sa_wireless.Sinr.Uniform ()
-  in
-  let wfrac = Lp.solve_explicit winst in
-  Alcotest.check_raises "derand1 needs unweighted"
-    (Invalid_argument "Parallel.derand1: unweighted instances only") (fun () ->
-      ignore (Parallel.derand1 winst wfrac))
+    (Invalid_argument "Pool.map_array: domains must be >= 1") (fun () ->
+      ignore (Rounding.solve_par ~domains:0 ~seed:1 inst frac));
+  Alcotest.check_raises "bad chunk"
+    (Invalid_argument "Pool.map_array: chunk must be >= 1") (fun () ->
+      ignore (Rounding.solve_par ~domains:2 ~chunk:0 ~seed:1 inst frac))
 
 let suite =
   [
     Alcotest.test_case "parallel rounding feasible" `Quick test_parallel_rounding_feasible;
     Alcotest.test_case "parallel rounding deterministic" `Quick test_parallel_rounding_deterministic;
-    Alcotest.test_case "parallel derand = sequential" `Quick test_parallel_derand_matches_sequential;
     Alcotest.test_case "parallel validation" `Quick test_parallel_validation;
   ]

@@ -5,7 +5,6 @@
 
 module Prng = Sa_util.Prng
 module Pool = Sa_core.Pool
-module Fanout = Sa_core.Fanout
 module Bundle = Sa_val.Bundle
 module Instance = Sa_core.Instance
 module Lp = Sa_core.Lp_relaxation
@@ -44,7 +43,7 @@ let prop_map_array_parity =
       let expected = Array.map f arr in
       List.for_all
         (fun (domains, chunk) ->
-          Fanout.map_array ~domains ?chunk f arr = expected)
+          Pool.map_array ~domains ?chunk f arr = expected)
         schedules)
 
 let test_map_array_skewed_parity () =
@@ -65,7 +64,7 @@ let test_map_array_skewed_parity () =
       let d, c = sched in
       Alcotest.(check (array int))
         (schedule_label sched) expected
-        (Fanout.map_array ~domains:d ?chunk:c f arr))
+        (Pool.map_array ~domains:d ?chunk:c f arr))
     schedules
 
 let test_lowest_index_failure () =
@@ -83,7 +82,7 @@ let test_lowest_index_failure () =
         i
       in
       (match
-         Fanout.map_array ~domains ?chunk f (Array.init 200 Fun.id)
+         Pool.map_array ~domains ?chunk f (Array.init 200 Fun.id)
        with
       | _ -> Alcotest.fail "expected a failure"
       | exception Failure msg ->
@@ -99,17 +98,17 @@ let test_lowest_index_failure () =
 
 let test_validation () =
   Alcotest.check_raises "bad domains"
-    (Invalid_argument "Fanout.map_array: domains must be >= 1") (fun () ->
-      ignore (Fanout.map_array ~domains:0 Fun.id [| 1 |]));
+    (Invalid_argument "Pool.map_array: domains must be >= 1") (fun () ->
+      ignore (Pool.map_array ~domains:0 Fun.id [| 1 |]));
   Alcotest.check_raises "bad chunk"
-    (Invalid_argument "Fanout.map_array: chunk must be >= 1") (fun () ->
-      ignore (Fanout.map_array ~domains:2 ~chunk:0 Fun.id [| 1; 2 |]))
+    (Invalid_argument "Pool.map_array: chunk must be >= 1") (fun () ->
+      ignore (Pool.map_array ~domains:2 ~chunk:0 Fun.id [| 1; 2 |]))
 
 let test_pool_restart_after_shutdown () =
-  let before = Fanout.map_array ~domains:4 (fun i -> i * i) (Array.init 50 Fun.id) in
+  let before = Pool.map_array ~domains:4 (fun i -> i * i) (Array.init 50 Fun.id) in
   Pool.shutdown (Pool.default ());
   Alcotest.(check int) "workers joined" 0 (Pool.worker_count (Pool.default ()));
-  let after = Fanout.map_array ~domains:4 (fun i -> i * i) (Array.init 50 Fun.id) in
+  let after = Pool.map_array ~domains:4 (fun i -> i * i) (Array.init 50 Fun.id) in
   Alcotest.(check (array int)) "restarted pool agrees" before after;
   Alcotest.check_raises "explicit shut-down pool rejects work"
     (Invalid_argument "Pool: submitted to a shut-down pool") (fun () ->
@@ -123,7 +122,7 @@ let test_nested_map_array () =
   let inst = Workloads.protocol_instance ~seed:3 ~n:12 ~k:2 () in
   let frac = Lp.solve_explicit inst in
   let outer =
-    Fanout.map_array ~domains:4
+    Pool.map_array ~domains:4
       (fun seed ->
         let inner = Rounding.solve_par ~domains:4 ~trials:4 ~seed inst frac in
         Sa_core.Allocation.value inst inner)

@@ -1,7 +1,6 @@
 (* QCheck property suite: allocation feasibility and bundle containment for
-   every rounding path (including the batch engine), parallel/sequential
-   derandomization equivalence, engine batch determinism under sharding,
-   and serialization round-trips. *)
+   every rounding path (including the batch engine), engine batch
+   determinism under sharding, and serialization round-trips. *)
 
 module Prng = Sa_util.Prng
 module Floats = Sa_util.Floats
@@ -12,8 +11,6 @@ module Allocation = Sa_core.Allocation
 module Lp = Sa_core.Lp_relaxation
 module Rounding = Sa_core.Rounding
 module Greedy = Sa_core.Greedy
-module Derand = Sa_core.Derand
-module Parallel = Sa_core.Parallel
 module Serialize = Sa_core.Serialize
 module Workloads = Sa_exp.Workloads
 module Engine = Sa_engine.Engine
@@ -75,21 +72,6 @@ let prop_allocations_feasible_and_requested =
       ignore (check_allocation ~what:"engine" inst r.Engine.allocation);
       (* the engine's welfare accounting must match the allocation it returns *)
       Floats.approx_eq r.Engine.welfare (Allocation.value inst r.Engine.allocation))
-
-(* ---------- derandomization equivalence --------------------------------- *)
-
-let prop_parallel_derand_equals_sequential =
-  QCheck.Test.make
-    ~name:"Parallel.derand1 welfare = Derand.algorithm1_derand welfare" ~count:15
-    QCheck.(pair (int_range 1 10_000) (int_range 1 3))
-    (fun (seed, domains) ->
-      let inst = Workloads.protocol_instance ~seed ~n:(10 + (seed mod 6)) ~k:2 () in
-      let frac = Lp.solve_explicit inst in
-      let seq = Derand.algorithm1_derand inst frac in
-      let par = Parallel.derand1 ~domains inst frac in
-      if not (Allocation.is_feasible inst par) then
-        QCheck.Test.fail_reportf "parallel derand infeasible (seed %d)" seed;
-      Floats.approx_eq ~eps:1e-9 (Allocation.value inst seq) (Allocation.value inst par))
 
 (* ---------- engine determinism under sharding ---------------------------- *)
 
@@ -183,7 +165,6 @@ let prop_revalue_preserves_shape =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_allocations_feasible_and_requested;
-    QCheck_alcotest.to_alcotest prop_parallel_derand_equals_sequential;
     QCheck_alcotest.to_alcotest prop_engine_batch_deterministic;
     QCheck_alcotest.to_alcotest prop_serialize_round_trip;
     QCheck_alcotest.to_alcotest prop_revalue_preserves_shape;
