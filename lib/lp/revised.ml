@@ -5,14 +5,19 @@
      CSC matrix (cstart/crow/cval) in workspace buffers;
    - the basis inverse is kept as an eta file: B = E_1 E_2 ... E_K, each
      E_k identity except for one (sparse) column, so ftran/btran cost
-     O(nnz) per eta instead of O(m^2) dense updates.  The file lives in a
-     structure-of-arrays bump store (eta_row/eta_pivot/eta_start backed by
-     eta_idx/eta_vals pools) owned by the per-domain {!Workspace}, so
-     steady-state solves stop allocating per pivot;
+     O(nnz) per eta instead of O(m^2) dense updates.  Identity etas
+     (pivot exactly 1.0, no off-diagonal entries) are never stored.  The
+     file lives in a structure-of-arrays bump store (eta_row/eta_pivot/
+     eta_start backed by eta_idx/eta_vals pools) owned by the per-domain
+     {!Workspace}, so steady-state solves stop allocating per pivot;
+   - FTRAN keeps its result vector zero outside a touched-row list and
+     hands that list, in ascending row order, to its consumers (eta
+     append, x_B update, ratio test, crash row choice), so a pivot costs
+     O(column nnz + etas + touched rows) rather than O(m);
    - the eta file is rebuilt from the current basis every
      [Tol.default_refactor_interval] pivots (sparsest-column-first greedy
-     elimination), with a drift check of the maintained basic solution
-     against the recomputed one;
+     elimination through the same sparse FTRAN), with a drift check of
+     the maintained basic solution against the recomputed one;
    - entering columns are chosen by Dantzig partial pricing over a small
      candidate list, with full cyclic scans only to replenish the list or
      prove optimality, falling back to Bland's rule after the anti-cycling
@@ -88,12 +93,18 @@ module Slot = struct
   let eta_idx = 4
   let cstart = 5
   let crow = 6
+  let order = 7
+  let init_basis = 8
+  let touched = 9
+  let old_basis = 10
 
   (* bool slots *)
   let artificial = 0
   let in_basis = 1
   let flip = 2
   let assigned = 3
+  let mark = 4
+  let target = 5
 end
 
 type core = {
@@ -122,7 +133,12 @@ type core = {
   basis : int array;
   x_b : float array; (* fixed buffer; refactorization blits into it *)
   in_basis : bool array;
-  w_ftran : float array; (* shared FTRAN result; valid until the next ftran *)
+  w_ftran : float array;
+      (* shared FTRAN result, valid until the next ftran; zero outside the
+         first [n_touched] entries of [touched] *)
+  touched : int array; (* rows FTRAN may have made nonzero, ascending *)
+  mutable n_touched : int;
+  mark : bool array; (* mark.(i) iff row i is in the touched list *)
   y_btran : float array; (* shared BTRAN result; valid until the next btran *)
   refactor_interval : int;
   ws : Workspace.t;
@@ -153,42 +169,97 @@ let ensure_eta_nnz t extra =
     t.eta_vals <- Workspace.floats t.ws ~slot:Slot.eta_vals need
   end
 
-(* Append one eta built from [w.(0..m-1)] with the given pivot row. *)
+(* Append one eta built from the FTRAN result [w] (nonzero only on the
+   touched rows) with the given pivot row.  Entries are stored in
+   ascending row order.  An identity eta (pivot exactly 1.0, no
+   off-diagonal entry) is not stored: FTRAN would compute [x /. 1.0] and
+   BTRAN [(y -. 0.0) /. 1.0], both exact, so omitting it changes no bit. *)
 let push_eta_from t ~row w =
+  let touched = t.touched in
   let nnz = ref 0 in
-  for i = 0 to t.m - 1 do
+  for k = 0 to t.n_touched - 1 do
+    let i = touched.(k) in
     if i <> row && Float.abs w.(i) > Tol.eta_drop_eps then incr nnz
   done;
-  ensure_eta_headers t;
-  ensure_eta_nnz t !nnz;
-  let k = t.n_etas in
-  t.eta_row.(k) <- row;
-  t.eta_pivot.(k) <- w.(row);
-  let p = ref t.eta_nnz in
-  for i = 0 to t.m - 1 do
-    if i <> row && Float.abs w.(i) > Tol.eta_drop_eps then begin
-      t.eta_idx.(!p) <- i;
-      t.eta_vals.(!p) <- w.(i);
-      incr p
-    end
+  if !nnz > 0 || w.(row) <> 1.0 then begin
+    ensure_eta_headers t;
+    ensure_eta_nnz t !nnz;
+    let k = t.n_etas in
+    t.eta_row.(k) <- row;
+    t.eta_pivot.(k) <- w.(row);
+    let p = ref t.eta_nnz in
+    for q = 0 to t.n_touched - 1 do
+      let i = touched.(q) in
+      if i <> row && Float.abs w.(i) > Tol.eta_drop_eps then begin
+        t.eta_idx.(!p) <- i;
+        t.eta_vals.(!p) <- w.(i);
+        incr p
+      end
+    done;
+    t.eta_nnz <- !p;
+    t.n_etas <- k + 1;
+    t.eta_start.(k + 1) <- !p
+  end
+
+(* [Array.sort cmp] (the OCaml 5.1 stdlib ternary heap sort) on the prefix
+   [a.(0 .. l-1)]: the same comparisons in the same order, hence the same
+   placement of equal keys, without copying the prefix out of its
+   workspace buffer.  Refactorization relies on that placement for its
+   column order.  The helpers are top-level so that a sort allocates no
+   closures. *)
+let sort_maxson cmp a l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x = if cmp a.(i31) a.(i31 + 1) < 0 then i31 + 1 else i31 in
+    if cmp a.(x) a.(i31 + 2) < 0 then i31 + 2 else x
+  end
+  else if i31 + 1 < l && cmp a.(i31) a.(i31 + 1) < 0 then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+let rec sort_trickle cmp a l i e =
+  let j = sort_maxson cmp a l i in
+  if j >= 0 && cmp a.(j) e > 0 then begin
+    a.(i) <- a.(j);
+    sort_trickle cmp a l j e
+  end
+  else a.(i) <- e
+
+let rec sort_bubble cmp a l i =
+  let j = sort_maxson cmp a l i in
+  if j < 0 then i
+  else begin
+    a.(i) <- a.(j);
+    sort_bubble cmp a l j
+  end
+
+let rec sort_trickleup cmp a i e =
+  let father = (i - 1) / 3 in
+  if cmp a.(father) e < 0 then begin
+    a.(i) <- a.(father);
+    if father > 0 then sort_trickleup cmp a father e else a.(0) <- e
+  end
+  else a.(i) <- e
+
+let sort_prefix cmp a l =
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    sort_trickle cmp a l i a.(i)
   done;
-  t.eta_nnz <- !p;
-  t.n_etas <- k + 1;
-  t.eta_start.(k + 1) <- !p
+  for i = l - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    sort_trickleup cmp a (sort_bubble cmp a i 0) e
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
 
-(* Identity-column eta used as the fallback for a numerically singular
-   basis column during refactorization. *)
-let push_unit_eta t ~row =
-  ensure_eta_headers t;
-  let k = t.n_etas in
-  t.eta_row.(k) <- row;
-  t.eta_pivot.(k) <- 1.0;
-  t.n_etas <- k + 1;
-  t.eta_start.(k + 1) <- t.eta_nnz
-
-(* In-place w := B^{-1} w, applying eta inverses oldest-to-newest.  An eta
-   whose pivot-row entry is zero leaves the vector untouched, so sparse
-   inputs stay cheap. *)
+(* In-place w := B^{-1} w over a dense vector, applying eta inverses
+   oldest-to-newest.  An eta whose pivot-row entry is zero leaves the
+   vector untouched.  Used for x_B = B^{-1} b after a rebuild; columns go
+   through the sparse [ftran]. *)
 let apply_etas t w =
   for k = 0 to t.n_etas - 1 do
     let r = t.eta_row.(k) in
@@ -203,14 +274,65 @@ let apply_etas t w =
     end
   done
 
-(* w = B^{-1} A_j, into the shared FTRAN buffer. *)
+(* Put the touched list back in ascending row order: a linear pass over
+   the marks when the list is a large share of m, an in-place sort
+   otherwise. *)
+let sort_touched t =
+  let n = t.n_touched in
+  if n * 32 >= t.m then begin
+    let q = ref 0 in
+    for i = 0 to t.m - 1 do
+      if t.mark.(i) then begin
+        t.touched.(!q) <- i;
+        incr q
+      end
+    done
+  end
+  else sort_prefix Int.compare t.touched n
+
+(* w = B^{-1} A_j, into the shared FTRAN buffer.  The same float
+   operations in the same order as a dense pass over [apply_etas]: only
+   rows that are still exactly zero are skipped, and every row an eta
+   writes joins the touched list. *)
 let ftran t j =
-  let w = t.w_ftran in
-  Array.fill w 0 t.m 0.0;
-  for p = t.cstart.(j) to t.cstart.(j + 1) - 1 do
-    w.(t.crow.(p)) <- t.cval.(p)
+  let w = t.w_ftran and touched = t.touched and mark = t.mark in
+  for q = 0 to t.n_touched - 1 do
+    let i = touched.(q) in
+    w.(i) <- 0.0;
+    mark.(i) <- false
   done;
-  apply_etas t w;
+  (* column rows are strictly ascending *)
+  let n = ref 0 in
+  for p = t.cstart.(j) to t.cstart.(j + 1) - 1 do
+    let i = t.crow.(p) in
+    w.(i) <- t.cval.(p);
+    mark.(i) <- true;
+    touched.(!n) <- i;
+    incr n
+  done;
+  let sorted = ref true in
+  let idx = t.eta_idx and vals = t.eta_vals in
+  for k = 0 to t.n_etas - 1 do
+    let r = t.eta_row.(k) in
+    let xr = w.(r) in
+    (* xr <> 0 means row r is touched, so the list is non-empty *)
+    if xr <> 0.0 then begin
+      let zr = xr /. t.eta_pivot.(k) in
+      w.(r) <- zr;
+      for p = t.eta_start.(k) to t.eta_start.(k + 1) - 1 do
+        let i = idx.(p) in
+        w.(i) <- w.(i) -. (vals.(p) *. zr);
+        if not mark.(i) then begin
+          mark.(i) <- true;
+          if i < touched.(!n - 1) then sorted := false;
+          touched.(!n) <- i;
+          incr n
+        end
+      done
+    end
+  done;
+  t.n_touched <- !n;
+  if not !sorted then sort_touched t;
   w
 
 (* y^T = c_B^T B^{-1}, into the shared BTRAN buffer: eta inverses applied
@@ -235,68 +357,88 @@ let btran t costs =
 
 (* Rebuild the eta file from the current basis: greedy elimination,
    sparsest original column first, pivot row chosen by largest magnitude
-   among the rows not yet assigned.  Rows may end up reassigned to
-   different basis positions — harmless, since solution and duals depend
-   only on the (column, row) pairing recorded in [t.basis].  Finishes by
-   recomputing x_B from scratch and checking drift of the incrementally
-   maintained values. *)
+   among the rows not yet assigned (lowest index on ties).  Rows may end
+   up reassigned to different basis positions — harmless, since solution
+   and duals depend only on the (column, row) pairing recorded in
+   [t.basis].  Each column costs one sparse FTRAN over the etas built so
+   far; slack columns whose row is still free give identity etas, which
+   are not stored.  Finishes by recomputing x_B from scratch and checking
+   drift of the incrementally maintained values. *)
 let refactorize t =
   Tel.incr m_refactor;
-  let old_basis = Array.sub t.basis 0 t.m in
+  let m = t.m in
+  (* [old] keeps the outgoing basis; [order] lists its positions sorted by
+     column length.  Sorting positions under the columns' keys makes the
+     same comparisons as sorting the columns, so the column order is the
+     same. *)
+  let old = Workspace.ints t.ws ~slot:Slot.old_basis m in
+  let order = Workspace.ints t.ws ~slot:Slot.order m in
+  for i = 0 to m - 1 do
+    old.(i) <- t.basis.(i);
+    order.(i) <- i
+  done;
   t.n_etas <- 0;
   t.eta_nnz <- 0;
   t.eta_start.(0) <- 0;
   t.pivots_since_refactor <- 0;
-  let order = Array.copy old_basis in
   let col_len j = t.cstart.(j + 1) - t.cstart.(j) in
-  Array.sort (fun a b -> compare (col_len a) (col_len b)) order;
-  let assigned = Workspace.bools t.ws ~slot:Slot.assigned t.m in
-  Array.fill assigned 0 t.m false;
-  Array.iter
-    (fun j ->
-      let w = ftran t j in
-      let r = ref (-1) in
-      for i = 0 to t.m - 1 do
-        if (not assigned.(i)) && (!r < 0 || Float.abs w.(i) > Float.abs w.(!r)) then
-          r := i
-      done;
-      let r = !r in
-      if Float.abs w.(r) <= Tol.pivot_eps then begin
-        (* Numerically singular basis column: fall back to a unit eta so the
-           factorization stays invertible; the drift check below reports the
-           damage. *)
-        Log.warn (fun f ->
-            f "refactorization: near-singular pivot %.3e for column %d" w.(r) j);
-        push_unit_eta t ~row:r
-      end
-      else push_eta_from t ~row:r w;
-      assigned.(r) <- true;
-      t.basis.(r) <- j)
-    order;
-  let xb = Workspace.floats t.ws ~slot:Slot.scratch t.m in
-  Array.blit t.b 0 xb 0 t.m;
+  sort_prefix (fun a b -> compare (col_len old.(a)) (col_len old.(b))) order m;
+  let assigned = Workspace.bools t.ws ~slot:Slot.assigned m in
+  Array.fill assigned 0 m false;
+  let first_free = ref 0 in
+  for q = 0 to m - 1 do
+    let p = order.(q) in
+    let j = old.(p) in
+    let w = ftran t j in
+    while assigned.(!first_free) do
+      incr first_free
+    done;
+    (* A dense scan from the lowest free row keeps the first strictly
+       larger |w_i|; rows outside the touched list are zero and never
+       win, so scanning the touched list from the lowest free row picks
+       the same row — the lowest free row itself when no free row is
+       nonzero. *)
+    let r = ref !first_free in
+    for k = 0 to t.n_touched - 1 do
+      let i = t.touched.(k) in
+      if (not assigned.(i)) && Float.abs w.(i) > Float.abs w.(!r) then r := i
+    done;
+    let r = !r in
+    if Float.abs w.(r) <= Tol.pivot_eps then
+      (* Numerically singular basis column: fall back to a unit eta (an
+         identity, so nothing is stored) to keep the factorization
+         invertible; the drift check below reports the damage. *)
+      Log.warn (fun f ->
+          f "refactorization: near-singular pivot %.3e for column %d" w.(r) j)
+    else push_eta_from t ~row:r w;
+    assigned.(r) <- true;
+    t.basis.(r) <- j;
+    (* from here on, [old.(p)] is the row column [j] moved to *)
+    old.(p) <- r
+  done;
+  let xb = Workspace.floats t.ws ~slot:Slot.scratch m in
+  Array.blit t.b 0 xb 0 m;
   apply_etas t xb;
-  (* drift check: compare per-column values across the row reassignment
-     (t.x_b still holds the incrementally maintained values) *)
-  let old_val = Hashtbl.create t.m in
-  Array.iteri (fun i j -> Hashtbl.replace old_val j t.x_b.(i)) old_basis;
+  (* drift check: compare each column's recomputed value with the one
+     maintained at its old position *)
   let drift = ref 0.0 in
-  for i = 0 to t.m - 1 do
-    match Hashtbl.find_opt old_val t.basis.(i) with
-    | Some v -> drift := Float.max !drift (Float.abs (xb.(i) -. v))
-    | None -> ()
+  for p = 0 to m - 1 do
+    drift := Float.max !drift (Float.abs (xb.(old.(p)) -. t.x_b.(p)))
   done;
   if !drift > Tol.drift_eps then
     Log.warn (fun f ->
         f "refactorization drift %.3e exceeds %.1e (m=%d, pivots since last=%d)"
           !drift Tol.drift_eps t.m t.refactor_interval);
-  Array.blit xb 0 t.x_b 0 t.m
+  Array.blit xb 0 t.x_b 0 m
 
+(* Pivot [col] in at [row]; [w] is its FTRAN result and must still be the
+   latest one (the touched list describes it). *)
 let pivot t ~row ~col ~w =
   push_eta_from t ~row w;
   let xr = t.x_b.(row) /. w.(row) in
   t.x_b.(row) <- xr;
-  for i = 0 to t.m - 1 do
+  for k = 0 to t.n_touched - 1 do
+    let i = t.touched.(k) in
     if i <> row then begin
       let f = w.(i) in
       if Float.abs f > Tol.eta_drop_eps then t.x_b.(i) <- t.x_b.(i) -. (f *. xr)
@@ -395,7 +537,9 @@ let run_phase t ~costs ~eps ~max_iters ~allowed ~deadline ~started =
         let w = ftran t col in
         let leave = ref (-1) in
         let best_ratio = ref infinity in
-        for i = 0 to t.m - 1 do
+        (* ascending rows: the tie-break below depends on scan order *)
+        for k = 0 to t.n_touched - 1 do
+          let i = t.touched.(k) in
           if w.(i) > eps then begin
             let ratio = t.x_b.(i) /. w.(i) in
             if
@@ -430,32 +574,34 @@ let run_phase t ~costs ~eps ~max_iters ~allowed ~deadline ~started =
    state. *)
 let try_warm_basis ?(inject_crash = false) t wb =
   Tel.incr m_warm_attempts;
+  (* marks the target columns; complete only once [valid] holds *)
+  let in_target = Workspace.bools t.ws ~slot:Slot.target t.ncols in
+  Array.fill in_target 0 t.ncols false;
   let valid =
     Array.length wb = t.m
     && Array.for_all (fun j -> j >= 0 && j < t.ncols && not t.artificial.(j)) wb
-    &&
-    let seen = Array.make t.ncols false in
-    Array.for_all
-      (fun j ->
-        if seen.(j) then false
-        else begin
-          seen.(j) <- true;
-          true
-        end)
-      wb
+    && Array.for_all
+         (fun j ->
+           if in_target.(j) then false
+           else begin
+             in_target.(j) <- true;
+             true
+           end)
+         wb
   in
   if not valid then false
   else begin
-    let init_basis = Array.sub t.basis 0 t.m in
-    let in_target = Array.make t.ncols false in
-    Array.iter (fun j -> in_target.(j) <- true) wb;
+    let init_basis = Workspace.ints t.ws ~slot:Slot.init_basis t.m in
+    Array.blit t.basis 0 init_basis 0 t.m;
     let reset () =
       Tel.incr m_warm_rollbacks;
       Log.debug (fun m ->
           m "warm basis rejected (stale for new data); cold start (m=%d)" t.m);
       Array.blit init_basis 0 t.basis 0 t.m;
       Array.fill t.in_basis 0 t.ncols false;
-      Array.iter (fun j -> t.in_basis.(j) <- true) init_basis;
+      for i = 0 to t.m - 1 do
+        t.in_basis.(init_basis.(i)) <- true
+      done;
       t.n_etas <- 0;
       t.eta_nnz <- 0;
       t.eta_start.(0) <- 0;
@@ -469,7 +615,8 @@ let try_warm_basis ?(inject_crash = false) t wb =
         if !ok && not t.in_basis.(j) then begin
           let w = ftran t j in
           let row = ref (-1) in
-          for i = 0 to t.m - 1 do
+          for k = 0 to t.n_touched - 1 do
+            let i = t.touched.(k) in
             if
               (not in_target.(t.basis.(i)))
               && Float.abs w.(i) > Tol.warm_pivot_eps
@@ -600,6 +747,10 @@ let solve_spec_impl ~ws ?(eps = Tol.solve_eps) ?max_iters ?warm_start
   done;
   let x_b = Workspace.floats ws ~slot:Slot.xb m in
   Array.blit b 0 x_b 0 m;
+  let w_ftran = Workspace.floats ws ~slot:Slot.ftran m in
+  Array.fill w_ftran 0 m 0.0;
+  let mark = Workspace.bools ws ~slot:Slot.mark m in
+  Array.fill mark 0 m false;
   let t =
     {
       m;
@@ -621,11 +772,16 @@ let solve_spec_impl ~ws ?(eps = Tol.solve_eps) ?max_iters ?warm_start
       basis;
       x_b;
       in_basis;
-      w_ftran = Workspace.floats ws ~slot:Slot.ftran m;
+      w_ftran;
+      touched = Workspace.ints ws ~slot:Slot.touched m;
+      n_touched = 0;
+      mark;
       y_btran = Workspace.floats ws ~slot:Slot.btran m;
-      (* Rebuilding the file costs O(m * file nnz) and one m-vector per
-         basis column, so the interval must grow with m or tall problems
-         spend their time refactorizing. *)
+      (* A rebuild runs one sparse FTRAN per basis column over the etas
+         built so far: about (basis columns × stored etas) row checks plus
+         the touched entries, with slack columns on free rows costing
+         almost nothing.  The interval still grows with m so tall problems
+         do not spend their time rebuilding. *)
       refactor_interval = max Tol.default_refactor_interval (m / 4);
       ws;
     }

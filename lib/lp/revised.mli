@@ -3,10 +3,13 @@
 
     Works on the {!Simplex} problem/solution types.  Columns are stored
     as one flat CSC matrix and the basis inverse is kept as a product-form
-    eta file (one sparse eta column per pivot), so ftran/btran cost O(nnz)
-    per eta rather than O(m²) dense updates.  The file is rebuilt from the
-    basis every {!Tol.default_refactor_interval} pivots with a drift check
-    of the maintained basic solution.  Entering variables are priced by
+    eta file (one sparse eta column per pivot; identity etas are not
+    stored), so ftran/btran cost O(nnz) per eta rather than O(m²) dense
+    updates.  FTRAN tracks the rows it touches, so a pivot (eta append,
+    x_B update, ratio test) costs O(touched rows), not O(m).  The file is
+    rebuilt from the basis every {!Tol.default_refactor_interval} pivots
+    (at least m/4) through the same sparse FTRAN, with a drift check of
+    the maintained basic solution.  Entering variables are priced by
     Dantzig's rule over a small candidate list (partial pricing; full
     scans only to replenish the list or certify optimality), with Bland's
     rule as the anti-cycling fallback.  This wins when the LP has many more
@@ -83,9 +86,9 @@ val solve_warm :
   Simplex.problem ->
   Simplex.solution * basis option * stats
 (** Like {!solve} but optionally starting from a previously returned basis:
-    the target columns are pivoted into the initial slack basis (one O(m²)
-    pivot per structural basic variable — cached auction bases are mostly
-    slack, so this is far cheaper than a full O(m³) refactorisation) and,
+    the target columns are pivoted into the initial slack basis (one sparse
+    FTRAN and eta per structural basic variable; cached auction bases are
+    mostly slack, whose columns cost nothing) and,
     if the result is still primal feasible for the new right-hand side,
     phase 1 and the all-slack start are skipped entirely — on
     repeat-topology auction LPs that differ only in objective coefficients

@@ -11,7 +11,11 @@
     that claimed it, and a domain runs one item at a time.  Slot numbers
     partition the arena between client modules:
 
-    - slots [0..15]: {!Revised} (solver core)
+    - slots [0..15]: {!Revised} (solver core: CSC matrix, basis and x_B,
+      FTRAN/BTRAN vectors with the FTRAN touched list and marks, pricing
+      lists, the eta store, and the rebuild and warm-install scratch —
+      column order, per-column drift values, initial basis, target
+      marks)
     - slots [16..23]: {!Model} (sparse problem staging)
     - slots [24..31]: [Sa_core.Rounding] trial buffers
     - slots [32..39]: [Sa_core.Derand] candidate buffers

@@ -15,10 +15,13 @@
 # runs and domain counts, --trace-out validates as Chrome Trace JSON),
 # and an http smoke (serve --listen on an ephemeral port, /metrics and
 # /healthz scraped with the in-tree raw-socket client), and a served-
-# benchmark smoke (one traced geo-repeat perfbench run whose last line must
-# report "correct": true: feasibility, welfare <= LP objective, pass-to-pass
-# byte identity and the layer-sum gate), and an input-error smoke (a
-# malformed workload file exits nonzero but not 125, naming its line).
+# benchmark smoke (one traced geo-repeat and one traced colgen-mix
+# perfbench run at seed 1, each of whose last line must report "correct":
+# true: feasibility, welfare <= LP objective, pass-to-pass byte identity
+# and the layer-sum gate; each must also print its pinned results_md5 and
+# lp.pivots, and geo-repeat its pinned lp.refactorizations), and an
+# input-error smoke (a malformed workload file exits nonzero but not 125,
+# naming its line).
 # Run from anywhere inside the repo.
 set -eu
 
@@ -236,14 +239,32 @@ cmp "$tmpdir/cp_on.json" "$tmpdir/cp_d4.json" \
   || { echo "check: column-pool results differ between --domains 1 and 4" >&2; exit 1; }
 echo "   column pool: results byte-identical with pool on/off and across domains"
 
-echo "== served benchmark smoke (perfbench geo-repeat, traced, correctness gates)"
-pbout="$tmpdir/perfbench.txt"
-dune exec ./perfbench/main.exe -- --workload geo-repeat --seed 1 --seconds 0.1 \
-  --trace 1 > "$pbout" \
-  || { tail -n 5 "$pbout" >&2; echo "check: perfbench geo-repeat failed its gates" >&2; exit 1; }
-tail -n 1 "$pbout" | grep -q '"correct": true' \
-  || { echo "check: perfbench geo-repeat did not report \"correct\": true" >&2; exit 1; }
-echo "   perfbench: geo-repeat seed 1 correct ($(grep '^results_md5' "$pbout"))"
+echo "== served benchmark smoke (perfbench geo-repeat + colgen-mix, traced, correctness gates, pinned bits)"
+# Each smoke must pass perfbench's own gates and reproduce the pinned
+# served output: results_md5 and the simplex pivot count (and, on
+# geo-repeat, the refactorization count).  LP engine changes that are
+# meant to be bitwise-neutral keep these; any other change that moves
+# them must re-pin them here and say why.
+perfbench_smoke() {
+  wl="$1"; md5="$2"; pivots="$3"; refac="$4"
+  pbout="$tmpdir/perfbench-$wl.txt"
+  dune exec ./perfbench/main.exe -- --workload "$wl" --seed 1 --seconds 0.1 \
+    --trace 1 > "$pbout" \
+    || { tail -n 5 "$pbout" >&2; echo "check: perfbench $wl failed its gates" >&2; exit 1; }
+  tail -n 1 "$pbout" | grep -q '"correct": true' \
+    || { echo "check: perfbench $wl did not report \"correct\": true" >&2; exit 1; }
+  grep -q "^results_md5 $md5\$" "$pbout" \
+    || { echo "check: perfbench $wl $(grep '^results_md5' "$pbout"), want $md5" >&2; exit 1; }
+  grep -Eq "^ +lp\.pivots +$pivots\.0+ count\$" "$pbout" \
+    || { echo "check: perfbench $wl $(grep -E '^ +lp\.pivots ' "$pbout" | tr -s ' '), want $pivots" >&2; exit 1; }
+  if [ -n "$refac" ]; then
+    grep -Eq "^ +lp\.refactorizations +$refac\.0+ count\$" "$pbout" \
+      || { echo "check: perfbench $wl $(grep -E '^ +lp\.refactorizations ' "$pbout" | tr -s ' '), want $refac" >&2; exit 1; }
+  fi
+  echo "   perfbench: $wl seed 1 correct (results_md5 $md5, $pivots pivots${refac:+, $refac refactorizations})"
+}
+perfbench_smoke geo-repeat 59b5e8e8643b4acfdf82eaccd770415d 8454 48
+perfbench_smoke colgen-mix db6cc8b779a9dc7526ef2fe65fb9169c 9524 ""
 
 echo "== telemetry smoke (serve --demo --metrics-out)"
 snap="$tmpdir/metrics.json"

@@ -25,4 +25,5 @@ let () =
       ("resilience", Suite_resilience.suite);
       ("pool", Suite_pool.suite);
       ("staging", Suite_staging.suite);
+      ("lp-refactor", Suite_refactor.suite);
     ]
