@@ -2,31 +2,32 @@ let prime = 101
 
 let m_candidates = Sa_telemetry.Metrics.counter "core.derand.candidates"
 
-(* h_{a,b}(v) = ((a*v + b) mod p) / p — a pairwise-independent [0,1) family.
-   The enumeration makes p² rounding passes, so the uniforms live in one
-   reused buffer from the domain's scratch arena (float slot 32 is reserved
-   for this module; see [Sa_lp.Workspace]) instead of a fresh n-array per
-   candidate. *)
-let slot_uniforms = 32
+(* h_{a,b}(v) = ((a*v + b) mod p) / p — the affine [0,1) family.  The
+   enumeration makes p² passes of one per-job rounding plan: a candidate
+   writes the uniforms of the plan's bidders into one per-job buffer, and
+   only a new best allocation is copied out. *)
+let hash ~a ~b v = ((a * v) + b) mod prime
 
-let fill_uniforms u ~n a b =
-  for v = 0 to n - 1 do
-    u.(v) <- float_of_int (((a * v) + b) mod prime) /. float_of_int prime
-  done
-
-let better inst x y = if Allocation.value inst x >= Allocation.value inst y then x else y
-
-let enumerate inst round_pass =
+(* Keeps the running best's value; [>=] keeps the earlier candidate on
+   ties, as [better] on the allocations would. *)
+let enumerate inst plan round =
   let n = Instance.n inst in
-  let ws = Sa_lp.Workspace.get () in
-  let uniforms = Sa_lp.Workspace.floats ws ~slot:slot_uniforms (max n 1) in
+  let bidders = Rounding.plan_bidders plan in
+  let uniforms = Array.make n 0.0 in
   let best = ref (Allocation.empty n) in
+  let best_value = ref 0.0 in
   for a = 0 to prime - 1 do
     for b = 0 to prime - 1 do
       Sa_telemetry.Metrics.incr m_candidates;
-      fill_uniforms uniforms ~n a b;
-      let alloc = round_pass uniforms in
-      best := better inst !best alloc
+      for i = 0 to Array.length bidders - 1 do
+        let v = bidders.(i) in
+        uniforms.(v) <- float_of_int (hash ~a ~b v) /. float_of_int prime
+      done;
+      let value = round plan uniforms in
+      if not (!best_value >= value) then begin
+        best := Rounding.plan_result plan;
+        best_value := value
+      end
     done
   done;
   !best
@@ -38,8 +39,7 @@ let algorithm1_derand inst frac =
       invalid_arg "Derand.algorithm1_derand: unweighted instances only");
   let k = float_of_int inst.Instance.k in
   let scale_down = 2.0 *. sqrt k *. inst.Instance.rho in
-  enumerate inst (fun uniforms ->
-      Rounding.round_with_uniforms inst frac ~scale_down ~uniforms)
+  enumerate inst (Rounding.plan inst frac ~scale_down) Rounding.plan_round
 
 let algorithm23_derand inst frac =
   (match inst.Instance.conflict with
@@ -48,6 +48,6 @@ let algorithm23_derand inst frac =
       invalid_arg "Derand.algorithm23_derand: edge-weighted instances only");
   let k = float_of_int inst.Instance.k in
   let scale_down = 4.0 *. sqrt k *. inst.Instance.rho in
-  enumerate inst (fun uniforms ->
-      let partly = Rounding.round_with_uniforms inst frac ~scale_down ~uniforms in
-      Rounding.algorithm3 inst partly)
+  enumerate inst (Rounding.plan inst frac ~scale_down) (fun plan uniforms ->
+      ignore (Rounding.plan_round plan uniforms);
+      Rounding.plan_algorithm3 plan)

@@ -8,18 +8,37 @@
 
     [h_{a,b}(v) = ((a·v + b) mod p) / p ∈ \[0,1)],  [(a,b) ∈ Z_p × Z_p],
 
-    which is pairwise independent across bidders, and *enumerates the whole
-    seed family*, keeping the best feasible allocation.  Since the family
-    realises the expectation bound on average, its best member is
-    deterministic and at least as good — up to the [1/p] quantisation of the
-    rounding probabilities, which the enumeration makes explicit rather than
-    hidden in an ε.
+    and *enumerates the whole seed family*, keeping the best feasible
+    allocation.  Since the family realises the expectation bound on
+    average, its best member is deterministic and at least as good — up to
+    the [1/p] quantisation of the rounding probabilities, which the
+    enumeration makes explicit rather than hidden in an ε.
 
-    Cost: [p²] rounding passes; use on small-to-moderate instances (the
-    Lavi–Swamy decomposition, experiment E6, is the intended consumer). *)
+    {b Independence holds below p only.}  For bidders [u ≠ v] with
+    [u, v < p], [(a, b) ↦ (h(u), h(v))] is a bijection onto [Z_p²], so the
+    pair is independent.  With [p] fixed at 101 that covers instances with
+    at most 101 bidders.  Above that, bidders [v] and [v + 101] draw
+    identical uniforms under every [(a, b)]: they are perfectly correlated,
+    and the §5 argument does not apply to such pairs.  Derand jobs are
+    still served at larger [n] (the sinr-fresh benchmark workload serves
+    them at [n = 110]); choosing [p ≥ n] fixes this but changes the served
+    results for [n > 101] (ROADMAP item 8).
+
+    Cost: [p²] = 10 201 rounding passes of one {!Rounding.plan}, built once
+    per call.  A pass computes the uniforms of the bidders with LP columns,
+    draws their bundles from per-bidder cumulative tables, and resolves
+    conflicts over the bidders that drew a non-empty bundle only
+    (O(active²) per pass, plus the welfare of the survivors).  Only a
+    pass that beats the best so far copies its allocation out.  The result
+    is bitwise that of running {!Rounding.round_with_uniforms} per seed and
+    keeping the best, earliest on ties. *)
 
 val prime : int
 (** 101 — the field size; probabilities are quantised to multiples of 1/101. *)
+
+val hash : a:int -> b:int -> int -> int
+(** [hash ~a ~b v = (a·v + b) mod p]: bidder [v]'s uniform under seed
+    [(a, b)] is [hash ~a ~b v / p]. *)
 
 val algorithm1_derand : Instance.t -> Lp_relaxation.fractional -> Allocation.t
 (** Deterministic counterpart of {!Rounding.algorithm1} (unweighted

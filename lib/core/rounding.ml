@@ -11,13 +11,15 @@ let m_trials = Tel.counter "core.rounding.trials"
 let m_improvements = Tel.counter "core.rounding.improvements"
 
 (* The rounding trial loops borrow the domain's LP scratch arena for their
-   per-bidder weight buffers (float slots 24-31 are reserved for this
-   module; see [Sa_lp.Workspace]).  Trials never run concurrently with a
-   simplex solve on the same domain, and the slots are disjoint from the
-   solver's in any case. *)
+   per-bidder weight buffers and active/survivor lists (slots 24-31 are
+   reserved for this module; see [Sa_lp.Workspace]).  Trials never run
+   concurrently with a simplex solve on the same domain, and the slots are
+   disjoint from the solver's in any case. *)
 module Ws = Sa_lp.Workspace
 
 let slot_weights = 24
+let slot_active = 25
+let slot_survivors = 26
 
 (* Rounding stage shared by all variants: every bidder independently picks
    bundle T with probability x_{v,T} / scale_down, and the empty bundle with
@@ -61,29 +63,216 @@ let require_conflict inst expected name =
 let better inst a b = if Allocation.value inst a >= Allocation.value inst b then a else b
 
 (* ------------------------------------------------------------------ *)
+(* Active-set conflict resolution, shared by the randomized algorithms *)
+(* and the one-vector passes of [Derand].                              *)
+(*                                                                     *)
+(* A bidder with an empty bundle intersects no bundle, so it adds      *)
+(* nothing to any conflict sum, and its value is exactly ±0 for every  *)
+(* valuation [Valuation.validate] accepts, so it adds nothing to a     *)
+(* welfare sum that starts at +0.  The stages below therefore loop     *)
+(* over the *active* bidders only — those with a non-empty bundle, in  *)
+(* ascending id — and every float sum adds the same terms in the same  *)
+(* order as a scan over all n bidders: the results are bitwise those   *)
+(* of the full scans.                                                  *)
+
+(* Algorithm 3's scratch, sized for n bidders. *)
+type scratch = {
+  si : Bundle.t array;  (** the current candidate; all empty between calls *)
+  order : int array;  (** the input bidders by decreasing rank *)
+  rem : int array;  (** bidders of the current candidate *)
+  removed : int array;  (** bidders dropped in the current pass *)
+  kept : int array;  (** the best candidate's bidders, ascending *)
+  mutable n_kept : int;
+}
+
+let scratch n =
+  {
+    si = Array.make n Bundle.empty;
+    order = Array.make n 0;
+    rem = Array.make n 0;
+    removed = Array.make n 0;
+    kept = Array.make n 0;
+    n_kept = 0;
+  }
+
+(* The bidders holding a non-empty bundle of [alloc], ascending, in the
+   arena's active-list slot. *)
+let active_of alloc =
+  let ids = Ws.ints (Ws.get ()) ~slot:slot_active (Array.length alloc) in
+  let len = ref 0 in
+  for v = 0 to Array.length alloc - 1 do
+    if not (Bundle.is_empty alloc.(v)) then begin
+      ids.(!len) <- v;
+      incr len
+    end
+  done;
+  (ids, !len)
+
+let survivors_buffer n_act = Ws.ints (Ws.get ()) ~slot:slot_survivors n_act
+
+(* [Allocation.value] of the allocation giving [t.(v)] to the bidders
+   [ids.(0 .. len-1)] (ascending) and nothing to the others. *)
+let value_of inst t ids len =
+  let total = ref 0.0 in
+  for i = 0 to len - 1 do
+    total := !total +. Allocation.bidder_value inst t ids.(i)
+  done;
+  !total
+
+let materialize n t ids len =
+  let alloc = Allocation.empty n in
+  for i = 0 to len - 1 do
+    let v = ids.(i) in
+    alloc.(v) <- t.(v)
+  done;
+  alloc
+
+(* Algorithm 1's resolution: the active bidders [act.(0 .. n_act-1)] of
+   the tentative bundles [t] that no earlier (in π) active neighbour
+   shares a channel with go to [surv], ascending; returns their count.
+   [mask] is all clear on entry and on exit; the per-vertex check scans
+   only the set bits of row ∧ mask. *)
+let resolve_unweighted_into inst g mask t act n_act surv =
+  let pi = inst.Instance.ordering in
+  for i = 0 to n_act - 1 do
+    Bitset.add mask act.(i)
+  done;
+  let n_surv = ref 0 in
+  for i = 0 to n_act - 1 do
+    let v = act.(i) in
+    let tv = t.(v) in
+    let conflicted =
+      Graph.exists_row_inter g v mask (fun u ->
+          Ordering.precedes pi u v && Bundle.intersects t.(u) tv)
+    in
+    if not conflicted then begin
+      surv.(!n_surv) <- v;
+      incr n_surv
+    end
+  done;
+  for i = 0 to n_act - 1 do
+    Bitset.remove mask act.(i)
+  done;
+  !n_surv
+
+(* Backward shared-channel mass into [v]: Σ w̄(u,v) over the active u
+   before v in π whose bundle meets v's, in ascending u. *)
+let backward_shared_mass inst wg t act n_act v =
+  let pi = inst.Instance.ordering in
+  let tv = t.(v) in
+  let total = ref 0.0 in
+  for i = 0 to n_act - 1 do
+    let u = act.(i) in
+    if u <> v && Ordering.precedes pi u v && Bundle.intersects t.(u) tv then
+      total := !total +. Weighted.wbar wg u v
+  done;
+  !total
+
+(* Algorithm 2's resolution (Condition (5)): an active bidder whose
+   backward shared mass reaches 1/2 is dropped; the others go to [surv],
+   ascending; returns their count. *)
+let resolve_partial_into inst wg t act n_act surv =
+  let n_surv = ref 0 in
+  for i = 0 to n_act - 1 do
+    let v = act.(i) in
+    if not (backward_shared_mass inst wg t act n_act v >= 0.5) then begin
+      surv.(!n_surv) <- v;
+      incr n_surv
+    end
+  done;
+  !n_surv
+
+(* Algorithm 3 on the partly feasible allocation giving [t.(v)] to the
+   bidders [ids.(0 .. len-1)] (ascending).  Leaves the best candidate's
+   bidders in [sc.kept] (ascending, [sc.n_kept] of them; none when no
+   candidate beats the empty allocation) and returns its value.  Each
+   pass visits the candidate's bidders by decreasing rank and sums a
+   bidder's incoming interference over the bidders still present, in
+   ascending id. *)
+let algorithm3_into inst wg sc t ids len =
+  let pi = inst.Instance.ordering in
+  (* insertion sort by decreasing rank: the order a scan of π from the
+     back meets them *)
+  for i = 0 to len - 1 do
+    let v = ids.(i) in
+    let r = Ordering.rank pi v in
+    let j = ref i in
+    while !j > 0 && Ordering.rank pi sc.order.(!j - 1) < r do
+      sc.order.(!j) <- sc.order.(!j - 1);
+      decr j
+    done;
+    sc.order.(!j) <- v
+  done;
+  Array.blit ids 0 sc.rem 0 len;
+  let n_rem = ref len in
+  let best_value = ref 0.0 in
+  sc.n_kept <- 0;
+  let continue_ = ref (len > 0) in
+  while !continue_ do
+    (* Candidate S_i: the vertices removed from every previous pass. *)
+    for i = 0 to !n_rem - 1 do
+      let v = sc.rem.(i) in
+      sc.si.(v) <- t.(v)
+    done;
+    let n_removed = ref 0 in
+    (* Full conflict resolution by decreasing rank: a vertex is dropped when
+       its incoming interference from vertices still present reaches 1. *)
+    for i = 0 to len - 1 do
+      let v = sc.order.(i) in
+      let sv = sc.si.(v) in
+      if not (Bundle.is_empty sv) then begin
+        let incoming = ref 0.0 in
+        for j = 0 to len - 1 do
+          let u = ids.(j) in
+          if u <> v && Bundle.intersects sc.si.(u) sv then
+            incoming := !incoming +. Weighted.wbar wg u v
+        done;
+        if !incoming >= 1.0 then begin
+          sc.si.(v) <- Bundle.empty;
+          sc.removed.(!n_removed) <- v;
+          incr n_removed
+        end
+      end
+    done;
+    let value = ref 0.0 in
+    for j = 0 to len - 1 do
+      let u = ids.(j) in
+      if not (Bundle.is_empty sc.si.(u)) then
+        value := !value +. Allocation.bidder_value inst sc.si u
+    done;
+    if not (!best_value >= !value) then begin
+      best_value := !value;
+      sc.n_kept <- 0;
+      for j = 0 to len - 1 do
+        let u = ids.(j) in
+        if not (Bundle.is_empty sc.si.(u)) then begin
+          sc.kept.(sc.n_kept) <- u;
+          sc.n_kept <- sc.n_kept + 1
+        end
+      done
+    end;
+    for j = 0 to len - 1 do
+      sc.si.(ids.(j)) <- Bundle.empty
+    done;
+    if !n_removed = 0 || !n_removed >= !n_rem then continue_ := false
+    else begin
+      Array.blit sc.removed 0 sc.rem 0 !n_removed;
+      n_rem := !n_removed
+    end
+  done;
+  !best_value
+
+(* ------------------------------------------------------------------ *)
 (* Algorithm 1: unweighted conflict graphs.                            *)
 
 let resolve_unweighted inst g tentative_alloc =
   let n = Instance.n inst in
-  let pi = inst.Instance.ordering in
-  let final = Array.copy tentative_alloc in
-  (* bidders with a non-empty tentative bundle, as a word-packed mask: the
-     per-vertex conflict check scans only the set bits of row ∧ mask *)
-  let active = Graph.mask_create g in
-  for v = 0 to n - 1 do
-    if not (Bundle.is_empty tentative_alloc.(v)) then Bitset.add active v
-  done;
-  for v = 0 to n - 1 do
-    if not (Bundle.is_empty tentative_alloc.(v)) then begin
-      let conflicted =
-        Graph.exists_row_inter g v active (fun u ->
-            Ordering.precedes pi u v
-            && Bundle.intersects tentative_alloc.(u) tentative_alloc.(v))
-      in
-      if conflicted then final.(v) <- Bundle.empty
-    end
-  done;
-  final
+  let act, n_act = active_of tentative_alloc in
+  let surv = survivors_buffer n_act in
+  let n_surv =
+    resolve_unweighted_into inst g (Graph.mask_create g) tentative_alloc act n_act surv
+  in
+  materialize n tentative_alloc surv n_surv
 
 let algorithm1_scaled g_rng inst frac ~scale_down =
   let graph = match require_conflict inst `Unweighted "Rounding.algorithm1" with
@@ -107,27 +296,12 @@ let algorithm1 g_rng inst frac =
 (* ------------------------------------------------------------------ *)
 (* Algorithm 2: edge-weighted graphs, partly feasible output.          *)
 
-let backward_shared_mass inst wg alloc v =
-  let pi = inst.Instance.ordering in
-  let total = ref 0.0 in
-  for u = 0 to Instance.n inst - 1 do
-    if
-      u <> v
-      && Ordering.precedes pi u v
-      && Bundle.intersects alloc.(u) alloc.(v)
-    then total := !total +. Weighted.wbar wg u v
-  done;
-  !total
-
 let resolve_partial inst wg tentative_alloc =
   let n = Instance.n inst in
-  let final = Array.copy tentative_alloc in
-  for v = 0 to n - 1 do
-    if not (Bundle.is_empty tentative_alloc.(v)) then
-      if backward_shared_mass inst wg tentative_alloc v >= 0.5 then
-        final.(v) <- Bundle.empty
-  done;
-  final
+  let act, n_act = active_of tentative_alloc in
+  let surv = survivors_buffer n_act in
+  let n_surv = resolve_partial_into inst wg tentative_alloc act n_act surv in
+  materialize n tentative_alloc surv n_surv
 
 let algorithm2_scaled g_rng inst frac ~scale_down =
   let wg = match require_conflict inst `Weighted "Rounding.algorithm2" with
@@ -151,12 +325,11 @@ let algorithm2 g_rng inst frac =
 let is_partly_feasible inst alloc =
   match inst.Instance.conflict with
   | Instance.Edge_weighted wg ->
+      let act, n_act = active_of alloc in
       let ok = ref true in
-      Array.iteri
-        (fun v bundle ->
-          if not (Bundle.is_empty bundle) then
-            if backward_shared_mass inst wg alloc v >= 0.5 then ok := false)
-        alloc;
+      for i = 0 to n_act - 1 do
+        if backward_shared_mass inst wg alloc act n_act act.(i) >= 0.5 then ok := false
+      done;
       !ok
   | Instance.Unweighted _ | Instance.Per_channel _ | Instance.Per_channel_weighted _
     ->
@@ -172,41 +345,10 @@ let algorithm3 inst alloc =
     | `G _ | `P _ | `PW _ -> assert false
   in
   let n = Instance.n inst in
-  let pi = inst.Instance.ordering in
-  let by_rank_desc =
-    List.init n (fun pos -> Ordering.vertex_at pi (n - 1 - pos))
-  in
-  let best = ref (Allocation.empty n) in
-  let remaining = ref (Allocation.allocated_bidders alloc) in
-  let continue_ = ref (!remaining <> []) in
-  while !continue_ do
-    (* Candidate S_i: the vertices removed from every previous pass. *)
-    let si = Allocation.empty n in
-    List.iter (fun v -> si.(v) <- alloc.(v)) !remaining;
-    let removed = ref [] in
-    (* Full conflict resolution by decreasing rank: a vertex is dropped when
-       its incoming interference from vertices still present reaches 1. *)
-    List.iter
-      (fun v ->
-        if not (Bundle.is_empty si.(v)) then begin
-          let incoming = ref 0.0 in
-          for u = 0 to n - 1 do
-            if u <> v && Bundle.intersects si.(u) si.(v) then
-              incoming := !incoming +. Weighted.wbar wg u v
-          done;
-          if !incoming >= 1.0 then begin
-            si.(v) <- Bundle.empty;
-            removed := v :: !removed
-          end
-        end)
-      by_rank_desc;
-    best := better inst !best si;
-    if !removed = [] || List.length !removed >= List.length !remaining then
-      continue_ := false
-    else remaining := !removed;
-    if !removed = [] then continue_ := false
-  done;
-  !best
+  let ids, len = active_of alloc in
+  let sc = scratch n in
+  ignore (algorithm3_into inst wg sc alloc ids len);
+  materialize n alloc sc.kept sc.n_kept
 
 (* ------------------------------------------------------------------ *)
 (* Asymmetric channels (Section 6): scaling 1/2kρ, per-channel graphs. *)
@@ -395,49 +537,175 @@ let solve_par ?(domains = Pool.default_domains) ?chunk ?(trials = 8) ~seed inst 
   done;
   !best
 
-(* Deterministic rounding pass from explicit per-bidder uniforms (used by
-   the pairwise-independence derandomization in [Derand]).  The bidder's
-   bundle is picked by inverse-CDF over its columns scaled by
-   [1/scale_down]. *)
-let tentative_from_uniforms ~scale_down per_bidder uniforms =
-  Array.mapi
-    (fun v cols ->
-      let u = uniforms.(v) in
-      let rec pick acc = function
-        | [] -> Bundle.empty
-        | (bundle, x) :: rest ->
-            let acc' = acc +. (x /. scale_down) in
-            if u < acc' then bundle else pick acc' rest
-      in
-      pick 0.0 cols)
-    per_bidder
+(* ------------------------------------------------------------------ *)
+(* One-vector rounding passes (the randomness interface [Derand]       *)
+(* drives): bidder v's bundle is picked by inverse-CDF over its        *)
+(* columns scaled by [1/scale_down], at an explicit uniform u_v.       *)
+(*                                                                     *)
+(* Everything that does not depend on the uniforms is built once per   *)
+(* plan: the by-size column split, each bidder's bundles and running   *)
+(* sums [acc +. x /. scale_down] in [Lp_relaxation.by_bidder] order,   *)
+(* and the buffers the passes reuse.  A pass then costs O(columns) to  *)
+(* draw plus the active-set resolution above.                          *)
+
+type side = {
+  bidders : int array;  (** bidders with columns on this side, ascending *)
+  bundles : Bundle.t array array;  (** [bidders.(i)]'s column bundles *)
+  cum : float array array;  (** their running sums [acc +. x /. scale_down] *)
+  t : Bundle.t array;  (** tentative bundles; empty off [bidders] *)
+  act : int array;  (** active bidders of the last draw, ascending *)
+  mutable n_act : int;
+  surv : int array;  (** survivors of the last resolution, ascending *)
+  mutable n_surv : int;
+  mutable value : float;  (** their welfare *)
+}
+
+type plan = {
+  inst : Instance.t;
+  bidders : int array;  (** every bidder with a column, ascending *)
+  sides : side array;
+      (** small then large bundles ([Unweighted], [Edge_weighted]), or all
+          columns (per-channel instances) *)
+  mask : int array;  (** Algorithm 1's active-bidder mask, clear between passes *)
+  sc : scratch;
+  (* the last stage's result: [res_t.(v)] for the bidders in
+     [res_ids.(0 .. res_len-1)], nothing for the others *)
+  mutable res_t : Bundle.t array;
+  mutable res_ids : int array;
+  mutable res_len : int;
+}
+
+let with_columns ~n per_bidder =
+  Array.of_list (List.filter (fun v -> per_bidder.(v) <> []) (List.init n Fun.id))
+
+let side_of ~n ~scale_down per_bidder =
+  let bidders = with_columns ~n per_bidder in
+  let cols = Array.map (fun v -> Array.of_list per_bidder.(v)) bidders in
+  let cum =
+    Array.map
+      (fun c ->
+        let sums = Array.make (Array.length c) 0.0 in
+        let acc = ref 0.0 in
+        Array.iteri
+          (fun i (_, x) ->
+            acc := !acc +. (x /. scale_down);
+            sums.(i) <- !acc)
+          c;
+        sums)
+      cols
+  in
+  let m = Array.length bidders in
+  {
+    bidders;
+    bundles = Array.map (Array.map fst) cols;
+    cum;
+    t = Array.make n Bundle.empty;
+    act = Array.make m 0;
+    n_act = 0;
+    surv = Array.make m 0;
+    n_surv = 0;
+    value = 0.0;
+  }
+
+let plan inst frac ~scale_down =
+  let n = Instance.n inst in
+  let per_bidder = Lp_relaxation.by_bidder frac ~n in
+  let sides =
+    match inst.Instance.conflict with
+    | Instance.Unweighted _ | Instance.Edge_weighted _ ->
+        let k = float_of_int inst.Instance.k in
+        let small, large = split_by_size per_bidder ~threshold:(sqrt k) in
+        [| side_of ~n ~scale_down small; side_of ~n ~scale_down large |]
+    | Instance.Per_channel _ | Instance.Per_channel_weighted _ ->
+        [| side_of ~n ~scale_down per_bidder |]
+  in
+  {
+    inst;
+    bidders = with_columns ~n per_bidder;
+    sides;
+    mask = Bitset.create n;
+    sc = scratch n;
+    res_t = sides.(0).t;
+    res_ids = sides.(0).surv;
+    res_len = 0;
+  }
+
+let plan_bidders p = p.bidders
+
+(* Inverse-CDF pick: bidder v gets the first column whose running sum
+   exceeds u_v, or nothing. *)
+let draw s uniforms =
+  s.n_act <- 0;
+  for i = 0 to Array.length s.bidders - 1 do
+    let v = s.bidders.(i) in
+    let u = uniforms.(v) and cum = s.cum.(i) in
+    let j = ref 0 in
+    while !j < Array.length cum && not (u < cum.(!j)) do
+      incr j
+    done;
+    let bundle = if !j < Array.length cum then s.bundles.(i).(!j) else Bundle.empty in
+    s.t.(v) <- bundle;
+    if not (Bundle.is_empty bundle) then begin
+      s.act.(s.n_act) <- v;
+      s.n_act <- s.n_act + 1
+    end
+  done
+
+(* Rounding plus the resolution stage of the conflict structure on both
+   sides; the more valuable side (the small one on ties) is the result. *)
+let plan_round p uniforms =
+  let inst = p.inst in
+  let resolve =
+    match inst.Instance.conflict with
+    | Instance.Unweighted g -> resolve_unweighted_into inst g p.mask
+    | Instance.Edge_weighted wg -> resolve_partial_into inst wg
+    | Instance.Per_channel _ | Instance.Per_channel_weighted _ ->
+        invalid_arg "Rounding.plan_round: unweighted/edge-weighted instances only"
+  in
+  Array.iter
+    (fun s ->
+      draw s uniforms;
+      s.n_surv <- resolve s.t s.act s.n_act s.surv;
+      s.value <- value_of inst s.t s.surv s.n_surv)
+    p.sides;
+  let small = p.sides.(0) and large = p.sides.(1) in
+  let s = if small.value >= large.value then small else large in
+  p.res_t <- s.t;
+  p.res_ids <- s.surv;
+  p.res_len <- s.n_surv;
+  s.value
+
+let plan_algorithm3 p =
+  let wg =
+    match require_conflict p.inst `Weighted "Rounding.plan_algorithm3" with
+    | `W wg -> wg
+    | `G _ | `P _ | `PW _ -> assert false
+  in
+  if p.res_ids == p.sc.kept then
+    invalid_arg "Rounding.plan_algorithm3: no plan_round since the last call";
+  let value = algorithm3_into p.inst wg p.sc p.res_t p.res_ids p.res_len in
+  p.res_ids <- p.sc.kept;
+  p.res_len <- p.sc.n_kept;
+  value
+
+let plan_result p = materialize (Instance.n p.inst) p.res_t p.res_ids p.res_len
 
 let round_with_uniforms inst frac ~scale_down ~uniforms =
   if Array.length uniforms < Instance.n inst then
     invalid_arg "Rounding.round_with_uniforms: uniforms shorter than n";
-  let n = Instance.n inst in
-  let k = float_of_int inst.Instance.k in
-  let per_bidder = Lp_relaxation.by_bidder frac ~n in
+  let p = plan inst frac ~scale_down in
   match inst.Instance.conflict with
-  | Instance.Unweighted g ->
-      let small, large = split_by_size per_bidder ~threshold:(sqrt k) in
-      let run cols =
-        resolve_unweighted inst g (tentative_from_uniforms ~scale_down cols uniforms)
-      in
-      better inst (run small) (run large)
-  | Instance.Edge_weighted wg ->
-      let small, large = split_by_size per_bidder ~threshold:(sqrt k) in
-      let run cols =
-        resolve_partial inst wg (tentative_from_uniforms ~scale_down cols uniforms)
-      in
-      better inst (run small) (run large)
+  | Instance.Unweighted _ | Instance.Edge_weighted _ ->
+      ignore (plan_round p uniforms);
+      plan_result p
   | Instance.Per_channel gs ->
-      resolve_asymmetric inst gs
-        (tentative_from_uniforms ~scale_down per_bidder uniforms)
+      let s = p.sides.(0) in
+      draw s uniforms;
+      resolve_asymmetric inst gs s.t
   | Instance.Per_channel_weighted wgs ->
-      algorithm3_asymmetric inst
-        (resolve_partial_asymmetric inst wgs
-           (tentative_from_uniforms ~scale_down per_bidder uniforms))
+      let s = p.sides.(0) in
+      draw s uniforms;
+      algorithm3_asymmetric inst (resolve_partial_asymmetric inst wgs s.t)
 
 (* Adaptive-scale rounding.  The conflict-resolution stages enforce
    feasibility (resp. Condition (5)) for ANY rounding scale; only the

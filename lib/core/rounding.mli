@@ -120,8 +120,39 @@ val round_with_uniforms :
     in which case entries past [n - 1] are ignored.  Applies the resolution stage matching the conflict structure:
     the output is feasible for unweighted/per-channel instances and partly
     feasible (Condition (5)) for edge-weighted ones — feed it to
-    {!algorithm3}.  This is the randomness interface the pairwise-
-    independence derandomization ({!Derand}) drives. *)
+    {!algorithm3}.  This is one pass of a {!plan}. *)
+
+(** {2 Rounding plans}
+
+    The per-job state of repeated one-vector passes over the same LP
+    solution, as the pairwise-independence derandomization ({!Derand})
+    makes them: the by-size column split and each bidder's cumulative
+    pick table are built once, and a pass costs the draw over the bidders
+    with columns plus conflict resolution over the bidders that drew a
+    non-empty bundle.  A pass gives bitwise the result of
+    {!round_with_uniforms} on the same uniforms. *)
+
+type plan
+
+val plan : Instance.t -> Lp_relaxation.fractional -> scale_down:float -> plan
+
+val plan_bidders : plan -> int array
+(** The bidders with a column, ascending: the only uniforms a pass reads.
+    Do not mutate. *)
+
+val plan_round : plan -> float array -> float
+(** [plan_round p uniforms] runs one pass of {!round_with_uniforms}
+    ([Unweighted] and [Edge_weighted] instances only), reading
+    [uniforms.(v)] for the {!plan_bidders} [v] only, and returns the
+    welfare of its result. *)
+
+val plan_algorithm3 : plan -> float
+(** {!algorithm3} on the result of the last {!plan_round}
+    ([Edge_weighted] only, once per {!plan_round}); returns the welfare of
+    its output, which becomes the plan's result. *)
+
+val plan_result : plan -> Allocation.t
+(** A fresh copy of the last stage's result. *)
 
 val solve_adaptive :
   ?trials:int ->

@@ -235,6 +235,10 @@ let prepare ?key t ~conflict ~k bidders =
 (* -------------------------------- solving ------------------------------- *)
 
 let run_algorithm job inst frac =
+  Trace.with_span ~hist:h_round "core.round"
+    ~attrs:
+      [ ("algorithm", algorithm_name job.algorithm); ("n", string_of_int (Instance.n inst)) ]
+  @@ fun () ->
   let g = Prng.create ~seed:job.seed in
   match job.algorithm with
   | Lp_round -> Rounding.solve ~trials:job.trials g inst frac
@@ -388,7 +392,6 @@ let run_job_robust_impl t policy job =
         Timing.time (fun () -> run_algorithm { job with seed } inst frac)
       in
       Tel.observe h_lp lp_s;
-      Tel.observe h_round round_s;
       Eventlog.emit "lp_solved"
         [
           ("attempt", Eventlog.Int attempt);

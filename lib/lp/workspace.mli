@@ -18,7 +18,8 @@
       marks)
     - slots [16..23]: {!Model} (sparse problem staging)
     - slots [24..31]: [Sa_core.Rounding] trial buffers
-    - slots [32..39]: [Sa_core.Derand] candidate buffers
+    - slots [32..39]: unassigned ([Sa_core.Derand]'s rounding plan
+      allocates its buffers once per call)
 
     A client may hold its slots only within one self-contained computation
     and must not retain them across a call into another client.  Acquired

@@ -264,7 +264,7 @@ let histogram_descriptions =
     ("core.colgen.solve.seconds", "Wall time of column-generation solves");
     ("graph.rho.seconds", "Wall time of rho estimations");
     ("engine.job.lp.seconds", "Wall time of the LP phase per job");
-    ("engine.job.round.seconds", "Wall time of the rounding phase per job");
+    ("engine.job.round.seconds", "Wall time of the rounding phase per attempt (core.round spans)");
     ("engine.job.seconds", "End-to-end wall time per engine job");
     ( "engine.attempt.seconds",
       "Wall time per job attempt across the retry/fallback chain" );

@@ -75,8 +75,8 @@ let validate t ~k =
           if v < 0.0 then invalid_arg "Valuation.validate: negative bid value";
           if not (Bundle.subset b (Bundle.full k)) then
             invalid_arg "Valuation.validate: bid uses channel >= k";
-          if Bundle.is_empty b && v > 0.0 then
-            invalid_arg "Valuation.validate: positive value on empty bundle")
+          if Bundle.is_empty b && not (v <= 0.0) then
+            invalid_arg "Valuation.validate: positive or NaN value on empty bundle")
         bids
   | Additive values -> check_channel_array "Additive" values
   | Unit_demand values -> check_channel_array "Unit_demand" values
@@ -87,7 +87,7 @@ let validate t ~k =
       Array.iter (fun v -> if v < 0.0 then invalid_arg "Valuation.validate: negative value") f
   | Budget_additive { values; budget } ->
       check_channel_array "Budget_additive" values;
-      if budget < 0.0 then invalid_arg "Valuation.validate: negative budget"
+      if not (budget >= 0.0) then invalid_arg "Valuation.validate: negative or NaN budget"
   | Or_bids bids ->
       if List.length bids > 20 then
         invalid_arg "Valuation.validate: Or_bids limited to 20 atomic bids";

@@ -34,7 +34,10 @@ type t =
 val validate : t -> k:int -> unit
 (** Raises [Invalid_argument] if the representation is malformed for [k]
     channels: negative values, bids outside [\[k\]], [Symmetric] arrays of
-    wrong length or non-zero [f.(0)]. *)
+    wrong length or non-zero [f.(0)], a positive or NaN value on an empty
+    [Xor] bid, a NaN budget.  What it accepts values the empty bundle at
+    exactly [±0] in every language, which the rounding stages rely on to
+    sum welfare over the allocated bidders only. *)
 
 val value : t -> Bundle.t -> float
 (** Valuation of exactly [bundle]; always [≥ 0], and [0] on the empty

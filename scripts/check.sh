@@ -15,11 +15,12 @@
 # runs and domain counts, --trace-out validates as Chrome Trace JSON),
 # and an http smoke (serve --listen on an ephemeral port, /metrics and
 # /healthz scraped with the in-tree raw-socket client), and a served-
-# benchmark smoke (one traced geo-repeat and one traced colgen-mix
-# perfbench run at seed 1, each of whose last line must report "correct":
+# benchmark smoke (one traced geo-repeat, colgen-mix and sinr-fresh
+# perfbench run each at seed 1, whose last line must report "correct":
 # true: feasibility, welfare <= LP objective, pass-to-pass byte identity
 # and the layer-sum gate; each must also print its pinned results_md5 and
-# lp.pivots, and geo-repeat its pinned lp.refactorizations), and an
+# lp.pivots, geo-repeat its pinned lp.refactorizations, and the two derand
+# workloads their pinned derand.candidates), and an
 # input-error smoke (a malformed workload file exits nonzero but not 125,
 # naming its line).
 # Run from anywhere inside the repo.
@@ -239,14 +240,15 @@ cmp "$tmpdir/cp_on.json" "$tmpdir/cp_d4.json" \
   || { echo "check: column-pool results differ between --domains 1 and 4" >&2; exit 1; }
 echo "   column pool: results byte-identical with pool on/off and across domains"
 
-echo "== served benchmark smoke (perfbench geo-repeat + colgen-mix, traced, correctness gates, pinned bits)"
+echo "== served benchmark smoke (perfbench geo-repeat + colgen-mix + sinr-fresh, traced, correctness gates, pinned bits)"
 # Each smoke must pass perfbench's own gates and reproduce the pinned
 # served output: results_md5 and the simplex pivot count (and, on
-# geo-repeat, the refactorization count).  LP engine changes that are
-# meant to be bitwise-neutral keep these; any other change that moves
-# them must re-pin them here and say why.
+# geo-repeat, the refactorization count; on the derand workloads, the
+# derandomization candidate count, 12 derand jobs x 101^2).  LP engine
+# and rounding changes that are meant to be bitwise-neutral keep these;
+# any other change that moves them must re-pin them here and say why.
 perfbench_smoke() {
-  wl="$1"; md5="$2"; pivots="$3"; refac="$4"
+  wl="$1"; md5="$2"; pivots="$3"; refac="$4"; cands="$5"
   pbout="$tmpdir/perfbench-$wl.txt"
   dune exec ./perfbench/main.exe -- --workload "$wl" --seed 1 --seconds 0.1 \
     --trace 1 > "$pbout" \
@@ -261,10 +263,15 @@ perfbench_smoke() {
     grep -Eq "^ +lp\.refactorizations +$refac\.0+ count\$" "$pbout" \
       || { echo "check: perfbench $wl $(grep -E '^ +lp\.refactorizations ' "$pbout" | tr -s ' '), want $refac" >&2; exit 1; }
   fi
-  echo "   perfbench: $wl seed 1 correct (results_md5 $md5, $pivots pivots${refac:+, $refac refactorizations})"
+  if [ -n "$cands" ]; then
+    grep -Eq "^ +derand\.candidates +$cands\.0+ count\$" "$pbout" \
+      || { echo "check: perfbench $wl $(grep -E '^ +derand\.candidates ' "$pbout" | tr -s ' '), want $cands" >&2; exit 1; }
+  fi
+  echo "   perfbench: $wl seed 1 correct (results_md5 $md5, $pivots pivots${refac:+, $refac refactorizations}${cands:+, $cands derand candidates})"
 }
-perfbench_smoke geo-repeat 59b5e8e8643b4acfdf82eaccd770415d 8454 48
-perfbench_smoke colgen-mix db6cc8b779a9dc7526ef2fe65fb9169c 9524 ""
+perfbench_smoke geo-repeat 59b5e8e8643b4acfdf82eaccd770415d 8454 48 ""
+perfbench_smoke colgen-mix db6cc8b779a9dc7526ef2fe65fb9169c 9524 "" 122412
+perfbench_smoke sinr-fresh 5bdc332bcf3bbd9347c2108b883a45cc 2006 "" 122412
 
 echo "== telemetry smoke (serve --demo --metrics-out)"
 snap="$tmpdir/metrics.json"

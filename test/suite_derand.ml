@@ -1,0 +1,395 @@
+(* Differential suite for the derandomization and the active-set conflict
+   resolution: [Derand] against the per-candidate enumeration it replaced
+   ([Derand_reference]) — same bundle for every bidder, same value bits —
+   on disk, random, SINR and random edge-weighted conflict graphs and every
+   bidding language; [Rounding.round_with_uniforms] and the randomized
+   edge-weighted and unweighted tiers against the same reference; the
+   candidate counter; and the pairwise independence of the affine family
+   below p. *)
+
+module Prng = Sa_util.Prng
+module Bundle = Sa_val.Bundle
+module Valuation = Sa_val.Valuation
+module Vgen = Sa_val.Gen
+module Weighted = Sa_graph.Weighted
+module Ordering = Sa_graph.Ordering
+module Generators = Sa_graph.Generators
+module Inductive = Sa_graph.Inductive
+module Instance = Sa_core.Instance
+module Allocation = Sa_core.Allocation
+module Lp = Sa_core.Lp_relaxation
+module Rounding = Sa_core.Rounding
+module Derand = Sa_core.Derand
+module Reference = Derand_reference
+module Workloads = Sa_exp.Workloads
+module Metrics = Sa_telemetry.Metrics
+
+(* ---------- fixtures ---------------------------------------------------- *)
+
+let topologies = [| "disk"; "random-graph"; "sinr"; "random-weighted"; "sparse-weighted" |]
+
+let languages =
+  [| "xor"; "or"; "additive"; "unit-demand"; "symmetric"; "budget-additive"; "mixed";
+     "ties" |]
+
+(* Sparse weighted graph from random directed entries, some below the floor. *)
+let sparse_weighted g ~n =
+  let entries = ref [] in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      if u <> v && Prng.float g 1.0 < 0.3 then
+        entries := (u, v, Prng.uniform_in g 0.01 0.6) :: !entries
+    done
+  done;
+  Weighted.of_entries n ~w_min:0.05 (Array.of_list !entries)
+
+let weighted_conflict wg =
+  let pi = Ordering.of_order (Array.init (Weighted.n wg) Fun.id) in
+  (Instance.Edge_weighted wg, pi, Float.max 1.0 (Inductive.rho_weighted wg pi).Inductive.rho)
+
+(* "ties" values every bundle at its size, so many candidates tie; its
+   f(0) is -0.0, which [Valuation.validate] accepts as zero. *)
+let bidder g ~k = function
+  | "xor" ->
+      Vgen.random_xor g ~k ~bids:3 ~max_bundle:(min 3 k) ~dist:(Vgen.Uniform (1.0, 10.0))
+  | "or" -> Vgen.random_or g ~k ~bids:3 ~max_bundle:(min 2 k) ~dist:(Vgen.Uniform (1.0, 10.0))
+  | "additive" -> Vgen.random_additive g ~k ~dist:(Vgen.Uniform (0.0, 10.0))
+  | "unit-demand" -> Vgen.random_unit_demand g ~k ~dist:(Vgen.Uniform (1.0, 10.0))
+  | "symmetric" ->
+      Vgen.random_symmetric g ~k ~dist:(Vgen.Uniform (1.0, 10.0)) ~concave:(Prng.bool g)
+  | "budget-additive" -> Vgen.random_budget_additive g ~k ~dist:(Vgen.Uniform (1.0, 10.0))
+  | "mixed" -> Vgen.random_mixed g ~k ~dist:(Vgen.Pareto { alpha = 1.5; xmin = 1.0 })
+  | "ties" ->
+      Valuation.Symmetric (Array.init (k + 1) (fun m -> if m = 0 then -0.0 else float_of_int m))
+  | l -> invalid_arg l
+
+(* One instance per seed: topology and language from the seed, n <= 30. *)
+let random_instance seed =
+  let g = Prng.create ~seed in
+  let n = 2 + Prng.int g 29 and k = 1 + Prng.int g 4 in
+  let topo = topologies.(seed mod Array.length topologies) in
+  let lang = languages.(seed / Array.length topologies mod Array.length languages) in
+  let conflict, ordering, rho =
+    match topo with
+    | "disk" ->
+        let inst = Workloads.disk_instance ~seed ~n ~k () in
+        (inst.Instance.conflict, inst.Instance.ordering, inst.Instance.rho)
+    | "random-graph" ->
+        let graph = Generators.gnp g ~n ~p:0.25 in
+        let pi, degeneracy = Inductive.degeneracy_ordering graph in
+        (Instance.Unweighted graph, pi, float_of_int (max 1 degeneracy))
+    | "sinr" ->
+        let inst, _ =
+          Workloads.sinr_fixed_instance ~seed ~n ~k ~scheme:Sa_wireless.Sinr.Uniform ()
+        in
+        (inst.Instance.conflict, inst.Instance.ordering, inst.Instance.rho)
+    | "random-weighted" ->
+        weighted_conflict (Generators.random_weighted g ~n ~density:0.4 ~scale:0.6)
+    | _ -> weighted_conflict (sparse_weighted g ~n)
+  in
+  let bidders = Array.init n (fun _ -> bidder g ~k lang) in
+  let inst = Instance.make ~conflict ~k ~bidders ~ordering ~rho in
+  (Printf.sprintf "%s/%s n=%d k=%d seed %d" topo lang n k seed, inst)
+
+let is_weighted inst =
+  match inst.Instance.conflict with Instance.Edge_weighted _ -> true | _ -> false
+
+let derand inst frac =
+  if is_weighted inst then Derand.algorithm23_derand inst frac
+  else Derand.algorithm1_derand inst frac
+
+let reference inst frac =
+  if is_weighted inst then Reference.algorithm23_derand inst frac
+  else Reference.algorithm1_derand inst frac
+
+let fail fmt = QCheck.Test.fail_reportf fmt
+
+let seeds = QCheck.(int_range 1 100_000)
+
+let bits inst alloc = Int64.bits_of_float (Allocation.value inst alloc)
+
+let pp_alloc alloc =
+  String.concat " " (Array.to_list (Array.map (fun b -> string_of_int (Bundle.to_int b)) alloc))
+
+(* Same bundle for every bidder and the same value bits. *)
+let check_same what ~stage inst got want =
+  if got <> want then
+    fail "%s: %s bundles differ:\n  got  %s\n  want %s" what stage (pp_alloc got)
+      (pp_alloc want);
+  if bits inst got <> bits inst want then fail "%s: %s value bits differ" what stage
+
+(* ---------- derand = reference ------------------------------------------ *)
+
+let prop_derand_matches_reference =
+  QCheck.Test.make ~count:40 ~name:"Derand = per-candidate reference, bitwise" seeds
+    (fun seed ->
+      let what, inst = random_instance seed in
+      let frac = Lp.solve_explicit inst in
+      check_same what ~stage:"derand" inst (derand inst frac) (reference inst frac);
+      true)
+
+(* One-vector passes on uniforms that are not multiples of 1/p, including
+   0 and values just below 1. *)
+let prop_round_with_uniforms_matches_reference =
+  QCheck.Test.make ~count:100 ~name:"round_with_uniforms = reference, bitwise" seeds
+    (fun seed ->
+      let what, inst = random_instance seed in
+      let frac = Lp.solve_explicit inst in
+      let g = Prng.create ~seed:(seed + 1) in
+      let n = Instance.n inst in
+      let scale_down = Float.max 0.5 (Prng.float g 4.0) in
+      for _ = 1 to 10 do
+        let uniforms =
+          Array.init (n + 2) (fun _ ->
+              match Prng.int g 8 with 0 -> 0.0 | 1 -> Float.pred 1.0 | _ -> Prng.float g 1.0)
+        in
+        let got = Rounding.round_with_uniforms inst frac ~scale_down ~uniforms in
+        let want = Reference.round_with_uniforms inst frac ~scale_down ~uniforms in
+        check_same what ~stage:"round_with_uniforms" inst got want;
+        if is_weighted inst then begin
+          check_same what ~stage:"algorithm3" inst (Rounding.algorithm3 inst got)
+            (Reference.algorithm3 inst want);
+          if Rounding.is_partly_feasible inst got <> Reference.is_partly_feasible inst want
+          then fail "%s: is_partly_feasible differs" what
+        end
+      done;
+      true)
+
+(* The randomized tiers draw from the PRNG in the same order and resolve
+   over the active bidders: same allocation from the same seed. *)
+let prop_randomized_tier_matches_reference =
+  QCheck.Test.make ~count:100 ~name:"randomized rounding = reference, bitwise" seeds
+    (fun seed ->
+      let what, inst = random_instance seed in
+      let frac = Lp.solve_explicit inst in
+      for trial = 0 to 3 do
+        let scale_down = 4.0 /. float_of_int (1 + trial) in
+        let rng () = Prng.create ~seed:(seed + trial) in
+        if is_weighted inst then begin
+          let got = Rounding.algorithm2_scaled (rng ()) inst frac ~scale_down in
+          let want = Reference.algorithm2_scaled (rng ()) inst frac ~scale_down in
+          check_same what ~stage:"algorithm2" inst got want;
+          check_same what ~stage:"algorithm3" inst (Rounding.algorithm3 inst got)
+            (Reference.algorithm3 inst want)
+        end
+        else
+          check_same what ~stage:"algorithm1" inst
+            (Rounding.algorithm1_scaled (rng ()) inst frac ~scale_down)
+            (Reference.algorithm1_scaled (rng ()) inst frac ~scale_down)
+      done;
+      true)
+
+(* Condition (5) and Algorithm 3 on arbitrary (not partly feasible)
+   allocations, where many bidders conflict. *)
+let prop_resolution_on_dense_allocations =
+  QCheck.Test.make ~count:100 ~name:"algorithm3/is_partly_feasible = reference on dense input"
+    seeds (fun seed ->
+      let what, inst = random_instance seed in
+      if is_weighted inst then begin
+        let g = Prng.create ~seed:(seed + 2) in
+        let full = Bundle.full inst.Instance.k in
+        for _ = 1 to 10 do
+          let alloc =
+            Array.init (Instance.n inst) (fun _ ->
+                if Prng.bool g then Bundle.inter full (Bundle.of_int (1 + Prng.int g 15))
+                else Bundle.empty)
+          in
+          check_same what ~stage:"algorithm3" inst (Rounding.algorithm3 inst alloc)
+            (Reference.algorithm3 inst alloc);
+          if Rounding.is_partly_feasible inst alloc <> Reference.is_partly_feasible inst alloc
+          then fail "%s: is_partly_feasible differs" what
+        done
+      end;
+      true)
+
+(* ---------- fixed cases ------------------------------------------------- *)
+
+(* Every bidder values everything at zero: the LP has no columns, no
+   candidate beats the empty allocation, and both return it. *)
+let test_no_candidate_beats_empty () =
+  List.iter
+    (fun seed ->
+      let _, inst = random_instance seed in
+      let n = Instance.n inst and k = inst.Instance.k in
+      let zero =
+        Instance.make ~conflict:inst.Instance.conflict ~k
+          ~bidders:(Array.make n (Valuation.Additive (Array.make k 0.0)))
+          ~ordering:inst.Instance.ordering ~rho:inst.Instance.rho
+      in
+      let frac = Lp.solve_explicit zero in
+      let got = derand zero frac in
+      Alcotest.(check bool) "empty allocation" true (got = Allocation.empty n);
+      Alcotest.(check bool) "= reference" true (got = reference zero frac))
+    [ 5; 6; 7; 8; 9 ]
+
+(* Every bidder values a bundle at the number of channels in it: many
+   candidates tie, and the earliest must win. *)
+let test_ties_keep_the_earliest () =
+  List.iter
+    (fun seed ->
+      let what, inst = random_instance seed in
+      let k = inst.Instance.k in
+      let ties =
+        Instance.make ~conflict:inst.Instance.conflict ~k
+          ~bidders:(Array.make (Instance.n inst) (Valuation.Additive (Array.make k 1.0)))
+          ~ordering:inst.Instance.ordering ~rho:inst.Instance.rho
+      in
+      let frac = Lp.solve_explicit ties in
+      let got = derand ties frac and want = reference ties frac in
+      Alcotest.(check bool) (what ^ ": bundles") true (got = want);
+      Alcotest.(check int64) (what ^ ": value bits") (bits ties want) (bits ties got))
+    [ 10; 11; 12; 13; 14 ]
+
+(* Hand-built passes where a departure from the old code's comparisons
+   or float order changes the outcome. *)
+let column bidder bundle x = { Lp.bidder; bundle = Bundle.of_list bundle; x }
+
+let fractional columns = { Lp.columns = Array.of_list columns; objective = 0.0 }
+
+let one_channel = Valuation.Xor [ (Bundle.singleton 0, 1.0) ]
+
+let check_alloc what inst got want =
+  Alcotest.(check (array int)) what
+    (Array.map Bundle.to_int want) (Array.map Bundle.to_int got);
+  Alcotest.(check int64) (what ^ ": value bits") (bits inst want) (bits inst got)
+
+(* Bidders 0-2 each send weight [ws.(i)] into bidder 3, all on channel 0
+   and all before it in π. *)
+let fan_in ws =
+  let wg = Weighted.create 4 in
+  Array.iteri (fun u x -> Weighted.set wg u 3 x) ws;
+  Instance.make ~conflict:(Instance.Edge_weighted wg) ~k:1 ~bidders:(Array.make 4 one_channel)
+    ~ordering:(Ordering.identity 4) ~rho:1.0
+
+let test_float_order () =
+  let all = Array.make 4 (Bundle.singleton 0) in
+  let uniforms = Array.make 4 0.0 in
+  let frac = fractional (List.init 4 (fun v -> column v [ 0 ] 1.0)) in
+  (* (0.03 + 0.29) + 0.18 < 1/2 ≤ (0.18 + 0.29) + 0.03: bidder 3 keeps
+     its channel only when the backward mass is summed in ascending id *)
+  let inst = fan_in [| 0.03; 0.29; 0.18 |] in
+  let got = Rounding.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms in
+  check_alloc "Condition (5) sum order" inst got all;
+  check_alloc "Condition (5) = reference" inst got
+    (Reference.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms);
+  (* (0.06 + 0.57) + 0.37 < 1 ≤ (0.37 + 0.57) + 0.06, for Algorithm 3 *)
+  let inst = fan_in [| 0.06; 0.57; 0.37 |] in
+  check_alloc "Algorithm 3 sum order" inst (Rounding.algorithm3 inst all) all;
+  check_alloc "Algorithm 3 = reference" inst (Rounding.algorithm3 inst all)
+    (Reference.algorithm3 inst all)
+
+let test_pick_and_side_ties () =
+  (* a uniform equal to a running sum is past that column; bidder 2's
+     columns come out of [Lp.by_bidder] as {0} then {1} *)
+  let inst =
+    Instance.make ~conflict:(Instance.Unweighted (Sa_graph.Graph.create 3)) ~k:2
+      ~bidders:(Array.make 3 one_channel) ~ordering:(Ordering.identity 3) ~rho:1.0
+  in
+  let frac =
+    fractional
+      [ column 0 [ 0 ] 0.5; column 1 [ 0 ] 0.25; column 2 [ 1 ] 0.25; column 2 [ 0 ] 0.25 ]
+  in
+  let uniforms = [| 0.5; Float.pred 0.25; 0.25 |] in
+  let got = Rounding.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms in
+  check_alloc "inverse-CDF boundary" inst got
+    [| Bundle.empty; Bundle.singleton 0; Bundle.singleton 1 |];
+  check_alloc "boundary = reference" inst got
+    (Reference.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms);
+  (* the small-bundle side (three singletons) and the large one (one
+     3-channel bundle) are both worth 3: the small side wins *)
+  let inst =
+    Instance.make ~conflict:(Instance.Unweighted (Sa_graph.Graph.create 4)) ~k:4
+      ~bidders:(Array.make 4 (Valuation.Symmetric [| 0.0; 1.0; 2.0; 3.0; 4.0 |]))
+      ~ordering:(Ordering.identity 4) ~rho:1.0
+  in
+  let frac =
+    fractional [ column 0 [ 0; 1; 2 ] 1.0; column 1 [ 3 ] 1.0; column 2 [ 3 ] 1.0; column 3 [ 3 ] 1.0 ]
+  in
+  let uniforms = Array.make 4 0.0 in
+  let got = Rounding.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms in
+  let three = Bundle.singleton 3 in
+  check_alloc "side tie" inst got [| Bundle.empty; three; three; three |];
+  check_alloc "side tie = reference" inst got
+    (Reference.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms)
+
+let candidates () = Metrics.counter_value (Metrics.counter "core.derand.candidates")
+
+let test_candidates_per_call () =
+  List.iter
+    (fun seed ->
+      let what, inst = random_instance seed in
+      let frac = Lp.solve_explicit inst in
+      let before = candidates () in
+      ignore (derand inst frac);
+      Alcotest.(check int) (what ^ ": candidates") (Derand.prime * Derand.prime)
+        (candidates () - before))
+    [ 1; 2; 3; 4 ];
+  Alcotest.(check int) "p² = 10 201" 10_201 (Derand.prime * Derand.prime)
+
+(* (a, b) ↦ (h(u), h(v)) is a bijection Z_p² → Z_p² for u ≠ v mod p, which
+   is what pairwise independence needs.  It holds for ids below p only:
+   v and v + p get the same value under every (a, b). *)
+let test_pairwise_bijection () =
+  let p = Derand.prime in
+  List.iter
+    (fun (u, v) ->
+      let seen = Array.make (p * p) false in
+      for a = 0 to p - 1 do
+        for b = 0 to p - 1 do
+          let hu = Derand.hash ~a ~b u and hv = Derand.hash ~a ~b v in
+          if hu < 0 || hu >= p || hv < 0 || hv >= p then
+            Alcotest.failf "h out of Z_p for (%d, %d)" u v;
+          let cell = (hu * p) + hv in
+          if seen.(cell) then Alcotest.failf "(%d, %d): (h(u), h(v)) repeats" u v;
+          seen.(cell) <- true
+        done
+      done)
+    [ (0, 1); (0, 100); (1, 2); (3, 57); (42, 43); (50, 99); (99, 100) ];
+  Alcotest.(check bool) "v and v + p collide" true
+    (Derand.hash ~a:17 ~b:5 3 = Derand.hash ~a:17 ~b:5 (3 + p))
+
+(* What the active-set sums rely on: a validated valuation values the
+   empty bundle at exactly ±0, and validation rejects the NaNs that would
+   break it. *)
+let test_empty_bundle_is_zero () =
+  let g = Prng.create ~seed:3 in
+  for k = 1 to 5 do
+    Array.iter
+      (fun lang ->
+        for _ = 1 to 20 do
+          let b = bidder g ~k lang in
+          Valuation.validate b ~k;
+          let v = Valuation.value b Bundle.empty in
+          if v <> 0.0 then Alcotest.failf "%s: value of the empty bundle %h" lang v
+        done)
+      languages
+  done;
+  let rejects what b =
+    match Valuation.validate b ~k:2 with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "NaN on an empty XOR bid" (Valuation.Xor [ (Bundle.empty, Float.nan) ]);
+  rejects "NaN budget"
+    (Valuation.Budget_additive { values = [| 1.0; 2.0 |]; budget = Float.nan })
+
+let suite =
+  let q = QCheck_alcotest.to_alcotest in
+  [
+    q prop_derand_matches_reference;
+    q prop_round_with_uniforms_matches_reference;
+    q prop_randomized_tier_matches_reference;
+    q prop_resolution_on_dense_allocations;
+    Alcotest.test_case "no candidate beats the empty allocation" `Quick
+      test_no_candidate_beats_empty;
+    Alcotest.test_case "value ties keep the earliest candidate" `Quick
+      test_ties_keep_the_earliest;
+    Alcotest.test_case "conflict sums keep ascending-id order" `Quick test_float_order;
+    Alcotest.test_case "pick boundary and small/large side tie" `Quick
+      test_pick_and_side_ties;
+    Alcotest.test_case "10 201 candidates per call" `Quick test_candidates_per_call;
+    Alcotest.test_case "(h(u), h(v)) is a bijection onto Z_p² below p" `Quick
+      test_pairwise_bijection;
+    Alcotest.test_case "validated valuations value the empty bundle at ±0" `Quick
+      test_empty_bundle_is_zero;
+  ]

@@ -298,6 +298,19 @@ let test_engine_spans_have_attrs () =
       in
       Alcotest.(check bool) "attempt span nested" true
         (List.exists (fun c -> c.Trace.name = "engine.attempt") children));
+  (* one rounding span per attempt, inside it, naming algorithm and n *)
+  let by_name name = List.filter (fun sp -> sp.Trace.name = name) spans in
+  (match (by_name "core.round", by_name "engine.attempt") with
+  | [ round ], [ attempt ] ->
+      Alcotest.(check (option int)) "round span under the attempt"
+        (Some attempt.Trace.id) round.Trace.parent;
+      Alcotest.(check (option string)) "algorithm attr" (Some "adaptive")
+        (List.assoc_opt "algorithm" round.Trace.attrs);
+      Alcotest.(check (option string)) "n attr" (Some "10")
+        (List.assoc_opt "n" round.Trace.attrs)
+  | rounds, attempts ->
+      Alcotest.failf "%d core.round spans for %d attempts" (List.length rounds)
+        (List.length attempts));
   let lp_span =
     List.find_opt (fun sp -> sp.Trace.name = "lp.revised.solve") spans
   in

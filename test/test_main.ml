@@ -26,4 +26,5 @@ let () =
       ("pool", Suite_pool.suite);
       ("staging", Suite_staging.suite);
       ("lp-refactor", Suite_refactor.suite);
+      ("derand", Suite_derand.suite);
     ]
