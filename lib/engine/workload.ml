@@ -114,16 +114,21 @@ let parse_spec lineno words =
         | None -> fail lineno (Printf.sprintf "bad value for %s: %s" key raw))
   in
   let int_k = int_of_string_opt and bool_k = bool_of_string_opt in
-  {
-    model = get "model" model_of_name None;
-    n = get "n" int_k None;
-    k = get "k" int_k None;
-    seed = get "seed" int_k (Some 1);
-    algorithm = get "algorithm" Engine.algorithm_of_name (Some Engine.Adaptive);
-    trials = get "trials" int_k (Some 4);
-    repeat = get "repeat" int_k (Some 1);
-    revalue_bids = get "revalue" bool_k (Some true);
-  }
+  (* the rule [spec] enforces, reported against the line *)
+  let positive key fallback =
+    let v = get key int_k fallback in
+    if v < 1 then fail lineno (Printf.sprintf "%s must be >= 1, got %d" key v);
+    v
+  in
+  let model = get "model" model_of_name None in
+  let n = positive "n" None in
+  let k = positive "k" None in
+  let seed = get "seed" int_k (Some 1) in
+  let algorithm = get "algorithm" Engine.algorithm_of_name (Some Engine.Adaptive) in
+  let trials = positive "trials" (Some 4) in
+  let repeat = positive "repeat" (Some 1) in
+  let revalue_bids = get "revalue" bool_k (Some true) in
+  { model; n; k; seed; algorithm; trials; repeat; revalue_bids }
 
 let of_string text =
   let lines = String.split_on_char '\n' text in
@@ -190,14 +195,24 @@ let base_instance engine s =
       let bidders = Workloads.bidders g ~n:s.n ~k:s.k ~profile:Workloads.Xor_small in
       Engine.prepare engine ~conflict:(Instance.Unweighted graph) ~k:s.k bidders
 
+let h_base = Sa_telemetry.Metrics.histogram "engine.workload.base.seconds"
+let h_fingerprint = Sa_telemetry.Metrics.histogram "engine.workload.fingerprint.seconds"
+
 let expand engine specs =
   let next_id = ref 0 in
   List.concat_map
     (fun s ->
-      let base = base_instance engine s in
+      let base =
+        Sa_telemetry.Trace.with_span ~hist:h_base "engine.workload.base"
+          ~attrs:[ ("model", model_name s.model); ("n", string_of_int s.n) ]
+          (fun () -> base_instance engine s)
+      in
       (* [revalue] preserves the LP shape, so one fingerprint serves the
          whole batch *)
-      let shape_key = Sa_core.Serialize.shape_fingerprint base in
+      let shape_key =
+        Sa_telemetry.Trace.with_span ~hist:h_fingerprint "engine.workload.fingerprint"
+          (fun () -> Sa_core.Serialize.shape_fingerprint base)
+      in
       List.init s.repeat (fun i ->
           let inst =
             if i = 0 || not s.revalue_bids then base

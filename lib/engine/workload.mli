@@ -54,7 +54,8 @@ val of_string : string -> spec list
 (** Raises [Sa_util.Fail.Error (Malformed_job { detail })] on malformed
     input, [detail] starting ["line N: "] with the 1-based number of the
     offending line (the last line for an empty input or a missing
-    ['end']). *)
+    ['end']).  A batch whose [n], [k], [trials] or [repeat] is below 1 is
+    malformed, the rule {!spec} enforces. *)
 
 val load : string -> spec list
 val save : string -> spec list -> unit
@@ -62,7 +63,10 @@ val save : string -> spec list -> unit
 val expand : Engine.t -> spec list -> Engine.job list
 (** Materialise the job list: builds each batch's base instance (model
     [random] resolves ordering/ρ through the engine's topology cache),
-    applies [revalue] to repeats, and numbers jobs sequentially from 0. *)
+    applies [revalue] to repeats, and numbers jobs sequentially from 0.
+    Each batch's base-instance build runs in an [engine.workload.base]
+    span (any [graph.rho] estimate nests inside it) and its shape
+    fingerprint in an [engine.workload.fingerprint] span. *)
 
 val demo : spec list
 (** A small mixed workload used by [--demo] and the bench smoke run. *)

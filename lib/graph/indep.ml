@@ -102,7 +102,7 @@ let greedy_profit_weighted wg ~candidates ~profit =
 
 (* Per-domain grow-only buffer for the m×m weight table of
    [max_profit_weighted]: [Inductive.rho_weighted] calls it once per
-   vertex, and a fresh table per call would outlive many minor
+   searched vertex, and a fresh table per call would outlive many minor
    collections and be promoted, only to become major-heap garbage.  The
    table is filled after the last call to [profit] and read only by the
    search, which calls no outside code, so a reentrant call cannot

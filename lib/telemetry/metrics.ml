@@ -216,6 +216,10 @@ let counter_descriptions =
     ("core.rounding.improvements", "Rounding trials that improved the incumbent");
     ("core.derand.candidates", "Conditional-expectation candidates scored");
     ("graph.rho.estimates", "Inductive-independence rho estimations");
+    ( "graph.rho.searches",
+      "Vertices whose backward branch and bound ran during rho estimation" );
+    ( "graph.rho.pruned",
+      "Vertices with backward candidates bounded below the rho incumbent unsearched" );
     ("geom.grid.cells_scanned", "Spatial-grid cells visited by queries");
     ("geom.grid.candidates", "Spatial-grid candidate points produced");
     ( "wireless.construction.edges_kept",
@@ -263,6 +267,10 @@ let histogram_descriptions =
     ("lp.revised.solve.seconds", "Wall time of revised simplex solves");
     ("core.colgen.solve.seconds", "Wall time of column-generation solves");
     ("graph.rho.seconds", "Wall time of rho estimations");
+    ( "engine.workload.base.seconds",
+      "Wall time of building a workload batch's base instance (rho included)" );
+    ( "engine.workload.fingerprint.seconds",
+      "Wall time of a workload batch's LP shape fingerprint" );
     ("engine.job.lp.seconds", "Wall time of the LP phase per job");
     ("engine.job.round.seconds", "Wall time of the rounding phase per attempt (core.round spans)");
     ("engine.job.seconds", "End-to-end wall time per engine job");

@@ -21,8 +21,8 @@
 # and the layer-sum gate; each must also print its pinned results_md5 and
 # lp.pivots, geo-repeat its pinned lp.refactorizations, and the two derand
 # workloads their pinned derand.candidates), and an
-# input-error smoke (a malformed workload file exits nonzero but not 125,
-# naming its line).
+# input-error smoke (a malformed workload file, and one with n=-1, each
+# exit nonzero but not 125, naming their line).
 # Run from anywhere inside the repo.
 set -eu
 
@@ -225,6 +225,17 @@ test "$bad_status" -ne 0 && test "$bad_status" -ne 125 \
 grep -q 'line 2' "$tmpdir/bad.err" \
   || { echo "check: malformed-workload message does not name line 2" >&2; exit 1; }
 echo "   input errors: malformed workload exits $bad_status: $(head -n 1 "$tmpdir/bad.err")"
+# a well-formed line with a number no batch accepts is rejected the same way
+printf 'specauction-workload 1\n# comment\nbatch model=sinr n=-1 k=3\nend\n' > "$badwl"
+set +e
+dune exec bin/auction.exe -- serve --workload "$badwl" >/dev/null 2>"$tmpdir/bad.err"
+bad_status=$?
+set -e
+test "$bad_status" -ne 0 && test "$bad_status" -ne 125 \
+  || { echo "check: workload with n=-1 exited $bad_status (want nonzero, not 125)" >&2; exit 1; }
+grep -q 'line 3' "$tmpdir/bad.err" \
+  || { echo "check: n=-1 workload message does not name line 3" >&2; exit 1; }
+echo "   input errors: n=-1 workload exits $bad_status: $(head -n 1 "$tmpdir/bad.err")"
 
 echo "== column pool smoke (serve byte-identity, pool on vs --no-column-pool)"
 cwl="examples/columns.wl"

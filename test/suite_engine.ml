@@ -206,7 +206,15 @@ let test_workload_rejects_malformed () =
   rejected "missing end" "specauction-workload 1\n" ~line:2;
   rejected "bad model" "specauction-workload 1\nbatch model=cubic n=4 k=2\nend\n" ~line:2;
   rejected "missing n" "specauction-workload 1\nbatch model=protocol k=2\nend\n" ~line:2;
-  rejected "missing k" "specauction-workload 1\n\nbatch foo=bar\nend\n" ~line:3
+  rejected "missing k" "specauction-workload 1\n\nbatch foo=bar\nend\n" ~line:3;
+  (* parsed numbers outside the range [Workload.spec] accepts *)
+  let batch line = "specauction-workload 1\n# comment\nbatch " ^ line ^ "\nend\n" in
+  rejected "negative n" (batch "model=sinr n=-1 k=3") ~line:3;
+  rejected "zero n" (batch "model=protocol n=0 k=3") ~line:3;
+  rejected "zero k" (batch "model=sinr n=8 k=0") ~line:3;
+  rejected "zero trials" (batch "model=protocol n=8 k=2 trials=0") ~line:3;
+  rejected "zero repeat" (batch "model=protocol n=8 k=2 repeat=0") ~line:3;
+  rejected "negative repeat" (batch "model=random n=8 k=2 repeat=-4") ~line:3
 
 (* ---------- Pool.map_array ------------------------------------------- *)
 

@@ -463,6 +463,243 @@ let prop_max_profit_weighted_matches_reference =
       && Int64.bits_of_float a.Indep.value = Int64.bits_of_float b.Indep.value
       && a.Indep.exact = b.Indep.exact)
 
+(* ---------- bound-pruned ρ vs the full-scan reference --------------------- *)
+
+(* [Inductive] searches only the vertices whose bound can still beat the
+   incumbent; [Rho_reference] searches every vertex in ascending id.  The
+   two agree on ρ's bits and the witness, and the pruned estimate is exact
+   whenever the reference is. *)
+let agrees_with_reference (e : Inductive.estimate) (r : Rho_reference.estimate) =
+  Int64.bits_of_float e.Inductive.rho = Int64.bits_of_float r.Rho_reference.rho
+  && e.Inductive.witness_vertex = r.Rho_reference.witness_vertex
+  && ((not r.Rho_reference.exact) || e.Inductive.exact)
+
+let check_against_reference what (e : Inductive.estimate) (r : Rho_reference.estimate) =
+  if not (agrees_with_reference e r) then
+    Alcotest.failf "%s: pruned (rho %h, witness %d, exact %b) vs reference (rho %h, \
+                    witness %d, exact %b)"
+      what e.Inductive.rho e.Inductive.witness_vertex e.Inductive.exact
+      r.Rho_reference.rho r.Rho_reference.witness_vertex r.Rho_reference.exact
+
+let counter_value name =
+  Sa_telemetry.Metrics.counter_value (Sa_telemetry.Metrics.counter name)
+
+let test_rho_no_backward_candidates () =
+  let check what (e : Inductive.estimate) =
+    Alcotest.(check (float 0.0)) (what ^ ": rho") 0.0 e.Inductive.rho;
+    Alcotest.(check int) (what ^ ": witness") (-1) e.Inductive.witness_vertex;
+    Alcotest.(check bool) (what ^ ": exact") true e.Inductive.exact
+  in
+  check "empty graph" (Inductive.rho_unweighted (Graph.create 0) (Ordering.identity 0));
+  check "no edges" (Inductive.rho_unweighted (Graph.create 5) (Ordering.identity 5));
+  check "zero weights" (Inductive.rho_weighted (Weighted.create 5) (Ordering.identity 5));
+  check "empty sparse"
+    (Inductive.rho_weighted (Weighted.of_entries 4 [||]) (Ordering.identity 4))
+
+let test_rho_equal_bounds_smallest_witness () =
+  (* a perfect matching: vertices 1, 3 and 5 each see one backward
+     neighbour, so every bound and every value ties *)
+  let g = Graph.of_edges 6 [ (4, 5); (2, 3); (0, 1) ] in
+  let pi = Ordering.identity 6 in
+  let e = Inductive.rho_unweighted g pi in
+  Alcotest.(check int) "unweighted witness" 1 e.Inductive.witness_vertex;
+  check_against_reference "unweighted" e (Rho_reference.rho_unweighted g pi);
+  let wg = Weighted.of_graph g in
+  let e = Inductive.rho_weighted wg pi in
+  Alcotest.(check int) "weighted witness" 1 e.Inductive.witness_vertex;
+  check_against_reference "weighted" e (Rho_reference.rho_weighted wg pi)
+
+let test_rho_tie_below_a_larger_bound () =
+  (* vertex 5 sees the path 0-1-2 (bound 3, value 2) and is searched first;
+     vertex 4 sees the independent pair {0, 3} (bound 2, value 2).  The
+     bound 2 is not strictly below the incumbent 2, so vertex 4 is searched
+     and, tying with a smaller id, becomes the witness an ascending scan
+     reports. *)
+  let g = Graph.of_edges 6 [ (0, 1); (1, 2); (5, 0); (5, 1); (5, 2); (4, 0); (4, 3) ] in
+  let pi = Ordering.identity 6 in
+  let e = Inductive.rho_unweighted g pi in
+  Alcotest.(check (float 0.0)) "rho" 2.0 e.Inductive.rho;
+  Alcotest.(check int) "witness" 4 e.Inductive.witness_vertex;
+  check_against_reference "path beside pair" e (Rho_reference.rho_unweighted g pi)
+
+let test_rho_weighted_margin () =
+  (* Vertex 5's candidates 0, 1, 2 are independent with profits a < b < c.
+     Its bound sums them in id order, (a + b) + c, one ulp below the value
+     the search reports, (c + b) + a.  Vertex 6 is searched first (bound
+     (c + b) + a + 0.5) and reports exactly that value through candidate
+     3, which blocks candidate 4.  Only the margin keeps vertex 5 from
+     being bounded away, and so keeps it the witness. *)
+  let a = 0x1.885196136b9c1p-2 and b = 0x1.8adddc6114322p-1 and c = 0x1.c0212f5772abp-1 in
+  let desc = (c +. b) +. a in
+  Alcotest.(check bool) "bound sum falls short" true ((a +. b) +. c < desc);
+  let wg = Weighted.create 7 in
+  Weighted.set wg 0 5 a;
+  Weighted.set wg 1 5 b;
+  Weighted.set wg 2 5 c;
+  Weighted.set wg 3 4 1.0;
+  Weighted.set wg 3 6 desc;
+  Weighted.set wg 4 6 0.5;
+  let pi = Ordering.identity 7 in
+  let e = Inductive.rho_weighted wg pi in
+  Alcotest.(check int) "rho bits" 0
+    (Int64.compare (Int64.bits_of_float desc) (Int64.bits_of_float e.Inductive.rho));
+  Alcotest.(check int) "witness" 5 e.Inductive.witness_vertex;
+  check_against_reference "margin" e (Rho_reference.rho_weighted wg pi)
+
+let test_rho_weighted_star () =
+  let n = 7 in
+  let wg = Weighted.create n in
+  for u = 1 to n - 1 do
+    Weighted.set wg u 0 0.3
+  done;
+  (* centre last: the leaves are independent and all flow into 0 *)
+  let centre_last = Ordering.of_order (Array.init n (fun i -> (i + 1) mod n)) in
+  let e = Inductive.rho_weighted wg centre_last in
+  Alcotest.(check (float 1e-12)) "centre-last rho" (0.3 *. float_of_int (n - 1))
+    e.Inductive.rho;
+  Alcotest.(check int) "centre-last witness" 0 e.Inductive.witness_vertex;
+  check_against_reference "centre last" e (Rho_reference.rho_weighted wg centre_last);
+  (* centre first: every leaf sees the centre alone, ties go to leaf 1 *)
+  let centre_first = Ordering.identity n in
+  let e = Inductive.rho_weighted wg centre_first in
+  Alcotest.(check (float 0.0)) "centre-first rho" 0.3 e.Inductive.rho;
+  Alcotest.(check int) "centre-first witness" 1 e.Inductive.witness_vertex;
+  check_against_reference "centre first" e (Rho_reference.rho_weighted wg centre_first)
+
+let test_rho_node_limit_one () =
+  (* a one-node budget stops every search at once: each searched vertex
+     reports its greedy value, as in the full scan *)
+  let g = Prng.create ~seed:23 in
+  let graph = Generators.gnp g ~n:14 ~p:0.3 in
+  let pi = Ordering.of_order (Prng.permutation g 14) in
+  let e = Inductive.rho_unweighted ~node_limit:1 graph pi in
+  Alcotest.(check bool) "unweighted inexact" false e.Inductive.exact;
+  check_against_reference "unweighted" e (Rho_reference.rho_unweighted ~node_limit:1 graph pi);
+  let wg =
+    Weighted.of_function 14 (fun u v -> if u <> v && Prng.bernoulli g 0.5 then Prng.float g 0.7 else 0.0)
+  in
+  let e = Inductive.rho_weighted ~node_limit:1 wg pi in
+  Alcotest.(check bool) "weighted inexact" false e.Inductive.exact;
+  check_against_reference "weighted" e (Rho_reference.rho_weighted ~node_limit:1 wg pi)
+
+let test_rho_bounded_search_keeps_exact () =
+  (* Vertex 4 sees one candidate of profit 2 (three search nodes).  Vertex
+     3 sees three independent candidates of total mass 0.9, whose search
+     needs more than three nodes.  With a three-node budget the full scan
+     runs out on vertex 3 and reports an inexact ρ; the pruned search
+     bounds vertex 3 below 2 and never starts it, so the same ρ is exact. *)
+  let wg = Weighted.create 5 in
+  Weighted.set wg 0 3 0.3;
+  Weighted.set wg 1 3 0.3;
+  Weighted.set wg 2 3 0.3;
+  Weighted.set wg 0 4 2.0;
+  let pi = Ordering.identity 5 in
+  let searches = counter_value "graph.rho.searches"
+  and pruned = counter_value "graph.rho.pruned" in
+  let e = Inductive.rho_weighted ~node_limit:3 wg pi in
+  let r = Rho_reference.rho_weighted ~node_limit:3 wg pi in
+  Alcotest.(check bool) "reference inexact" false r.Rho_reference.exact;
+  Alcotest.(check bool) "pruned exact" true e.Inductive.exact;
+  Alcotest.(check (float 0.0)) "rho" 2.0 e.Inductive.rho;
+  check_against_reference "bounded" e r;
+  Alcotest.(check int) "one search" 1 (counter_value "graph.rho.searches" - searches);
+  Alcotest.(check int) "one vertex pruned" 1 (counter_value "graph.rho.pruned" - pruned)
+
+let test_rho_weighted_bound_at_incumbent () =
+  (* Vertex 4's single candidate has a profit exactly equal to vertex 3's
+     bound with its margin, so vertex 3 is not strictly below the
+     incumbent: it is searched, runs out of its three-node budget, and
+     the estimate is inexact, as in the full scan. *)
+  let wg = Weighted.create 5 in
+  Weighted.set wg 0 3 0.3;
+  Weighted.set wg 1 3 0.3;
+  Weighted.set wg 2 3 0.3;
+  let total = (0.3 +. 0.3) +. 0.3 in
+  Weighted.set wg 0 4 (total *. (1. +. (4. *. 3. *. epsilon_float)));
+  let pi = Ordering.identity 5 in
+  let searches = counter_value "graph.rho.searches" in
+  let e = Inductive.rho_weighted ~node_limit:3 wg pi in
+  Alcotest.(check int) "both searched" 2 (counter_value "graph.rho.searches" - searches);
+  Alcotest.(check bool) "inexact" false e.Inductive.exact;
+  Alcotest.(check int) "witness" 4 e.Inductive.witness_vertex;
+  check_against_reference "bound at incumbent" e
+    (Rho_reference.rho_weighted ~node_limit:3 wg pi)
+
+(* Brute force over every subset of v's backward candidates. *)
+let brute_force_rho ~candidates ~independent ~mass n =
+  let best = ref 0.0 in
+  for v = 0 to n - 1 do
+    let cands = Array.of_list (candidates v) in
+    let m = Array.length cands in
+    for mask = 1 to (1 lsl m) - 1 do
+      let set = List.filter_map (fun i -> if mask land (1 lsl i) <> 0 then Some cands.(i) else None)
+          (List.init m Fun.id) in
+      if independent set then best := Float.max !best (mass v set)
+    done
+  done;
+  !best
+
+let random_weighted g n =
+  let density = [| 0.15; 0.5; 0.9 |].(Prng.int g 3) in
+  (* coarse weights make equal bounds and equal values common *)
+  let draw () = if Prng.bool g then Prng.float g 0.7 else [| 0.25; 0.5 |].(Prng.int g 2) in
+  if Prng.bool g then
+    Weighted.of_function n (fun u v -> if u <> v && Prng.bernoulli g density then draw () else 0.0)
+  else
+    let entries =
+      List.concat_map
+        (fun u ->
+          List.filter_map
+            (fun v -> if u <> v && Prng.bernoulli g density then Some (u, v, draw ()) else None)
+            (List.init n Fun.id))
+        (List.init n Fun.id)
+    in
+    Weighted.of_entries n (Array.of_list entries)
+
+let node_limits = [| 1; 2; 3; 10; 100; 5_000 |]
+
+let prop_rho_weighted_matches_reference =
+  QCheck.Test.make ~count:150 ~name:"pruned weighted rho = full-scan reference (bitwise)"
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let g = Prng.create ~seed in
+      let n = 1 + Prng.int g 30 in
+      let wg = random_weighted g n in
+      let pi = Ordering.of_order (Prng.permutation g n) in
+      let node_limit = node_limits.(Prng.int g (Array.length node_limits)) in
+      let e = Inductive.rho_weighted ~node_limit wg pi in
+      let r = Rho_reference.rho_weighted ~node_limit wg pi in
+      agrees_with_reference e r
+      && ((not e.Inductive.exact) || n > 12
+         ||
+         let candidates v =
+           List.filter
+             (fun u -> Ordering.precedes pi u v && Weighted.wbar wg u v > 0.0)
+             (List.init n Fun.id)
+         in
+         let mass v set = List.fold_left (fun acc u -> acc +. Weighted.wbar wg u v) 0.0 set in
+         let brute = brute_force_rho ~candidates ~independent:(Weighted.is_independent wg) ~mass n in
+         Float.abs (brute -. e.Inductive.rho) <= 1e-9 *. Float.max 1.0 brute))
+
+let prop_rho_unweighted_matches_reference =
+  QCheck.Test.make ~count:150 ~name:"pruned unweighted rho = full-scan reference"
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let g = Prng.create ~seed in
+      let n = 1 + Prng.int g 30 in
+      let graph = Generators.gnp g ~n ~p:[| 0.1; 0.3; 0.6 |].(Prng.int g 3) in
+      let pi = Ordering.of_order (Prng.permutation g n) in
+      let node_limit = node_limits.(Prng.int g (Array.length node_limits)) in
+      let e = Inductive.rho_unweighted ~node_limit graph pi in
+      let r = Rho_reference.rho_unweighted ~node_limit graph pi in
+      agrees_with_reference e r
+      && ((not e.Inductive.exact) || n > 12
+         ||
+         let candidates v = Ordering.backward_neighbors pi graph v in
+         let mass _ set = float_of_int (List.length set) in
+         brute_force_rho ~candidates ~independent:(Graph.is_independent graph) ~mass n
+         = e.Inductive.rho))
+
 (* ---------- Generators ----------------------------------------------------- *)
 
 let test_gnp_extremes () =
@@ -631,4 +868,20 @@ let suite =
     Alcotest.test_case "sparse: dropped_in seeding" `Quick test_sparse_dropped_in_seed;
     QCheck_alcotest.to_alcotest prop_sparse_mass_conserved;
     QCheck_alcotest.to_alcotest prop_max_profit_weighted_matches_reference;
+    Alcotest.test_case "pruned rho: no backward candidates" `Quick
+      test_rho_no_backward_candidates;
+    Alcotest.test_case "pruned rho: equal bounds, smallest witness" `Quick
+      test_rho_equal_bounds_smallest_witness;
+    Alcotest.test_case "pruned rho: tie below a larger bound" `Quick
+      test_rho_tie_below_a_larger_bound;
+    Alcotest.test_case "pruned rho: float-safe margin" `Quick test_rho_weighted_margin;
+    Alcotest.test_case "pruned rho: weighted star (both orderings)" `Quick
+      test_rho_weighted_star;
+    Alcotest.test_case "pruned rho: bound equal to the incumbent is searched" `Quick
+      test_rho_weighted_bound_at_incumbent;
+    Alcotest.test_case "pruned rho: node_limit 1" `Quick test_rho_node_limit_one;
+    Alcotest.test_case "pruned rho: bounded search stays exact" `Quick
+      test_rho_bounded_search_keeps_exact;
+    QCheck_alcotest.to_alcotest prop_rho_weighted_matches_reference;
+    QCheck_alcotest.to_alcotest prop_rho_unweighted_matches_reference;
   ]

@@ -320,6 +320,43 @@ let test_engine_spans_have_attrs () =
       Alcotest.(check bool) "lp span has pivots attr" true
         (List.mem_assoc "pivots" sp.Trace.attrs)
 
+(* ---------- workload set-up spans ----------------------------------------- *)
+
+let test_workload_setup_spans () =
+  with_trace_capacity 4096 @@ fun () ->
+  let module Workload = Sa_engine.Workload in
+  let specs =
+    [
+      Workload.spec ~model:Workload.Sinr ~n:10 ~k:2 ~seed:3 ~repeat:2 ();
+      Workload.spec ~model:Workload.Random_graph ~n:12 ~k:2 ~seed:5 ();
+    ]
+  in
+  let jobs = Workload.expand (Engine.create ()) specs in
+  Alcotest.(check int) "jobs" 3 (List.length jobs);
+  let spans = Trace.recent () in
+  let named name = List.filter (fun sp -> sp.Trace.name = name) spans in
+  let bases = named "engine.workload.base"
+  and prints = named "engine.workload.fingerprint"
+  and rhos = named "graph.rho" in
+  Alcotest.(check int) "one base span per batch" 2 (List.length bases);
+  Alcotest.(check int) "one fingerprint span per batch" 2 (List.length prints);
+  Alcotest.(check int) "one rho estimate per batch" 2 (List.length rhos);
+  List.iter
+    (fun sp ->
+      Alcotest.(check bool) (sp.Trace.name ^ " is a root") true (sp.Trace.parent = None))
+    (bases @ prints);
+  (* each ρ estimate nests in its batch's base span; each batch's
+     fingerprint starts after its base instance is built *)
+  List.iter2
+    (fun (base, rho) print ->
+      Alcotest.(check (option int)) "rho under the base span" (Some base.Trace.id)
+        rho.Trace.parent;
+      Alcotest.(check bool) "fingerprint after the base" true
+        (print.Trace.start_s >= base.Trace.start_s +. base.Trace.dur_s -. 1e-6))
+    (List.combine bases rhos) prints;
+  Alcotest.(check (option string)) "model attr" (Some "sinr")
+    (List.assoc_opt "model" (List.hd bases).Trace.attrs)
+
 (* ---------- http endpoint ------------------------------------------------- *)
 
 let test_http_scrape_metrics () =
@@ -381,6 +418,8 @@ let suite =
       test_eventlog_domains_byte_identical;
     Alcotest.test_case "engine spans carry job/tier/retry attrs" `Quick
       test_engine_spans_have_attrs;
+    Alcotest.test_case "workload set-up spans nest the rho estimate" `Quick
+      test_workload_setup_spans;
     Alcotest.test_case "http scrape serves every well-known metric" `Quick
       test_http_scrape_metrics;
   ]
