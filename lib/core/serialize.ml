@@ -13,14 +13,9 @@ let emit_graph buf g =
   Buffer.add_string buf "end\n"
 
 let emit_weighted buf wg =
-  let n = Weighted.n wg in
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      if u <> v then begin
-        let w = Weighted.w wg u v in
-        if w > 0.0 then Buffer.add_string buf (Printf.sprintf "w %d %d %.17g\n" u v w)
-      end
-    done
+  for u = 0 to Weighted.n wg - 1 do
+    Weighted.iter_out wg u (fun v w ->
+        Buffer.add_string buf (Printf.sprintf "w %d %d %.17g\n" u v w))
   done;
   Buffer.add_string buf "end\n"
 
@@ -308,38 +303,113 @@ let allocation_of_string s =
 
 (* ------------------------------ fingerprints ----------------------------- *)
 
-let digest_hex s = Digest.to_hex (Digest.string s)
+(* The cache keys digest a binary encoding, not the text format: ints as
+   8-byte little-endian words, weights and ρ as their exact float bits.  A
+   tag byte names each conflict kind and per-channel section, and a count
+   precedes every list, so the encoding is prefix-free — tags alone are not,
+   since an int's bytes can equal a tag byte (vertex 101 is 'e').  Exact
+   bits key exactly what the text's %.17g does, and dense and sparse graphs
+   with the same positive entries encode alike.
 
-let fingerprint inst = digest_hex (instance_to_string inst)
+   The encoding is hashed in fixed-size chunks, and the key is the digest
+   of the chunk digests.  A key thus allocates one minor-heap chunk and 16
+   bytes per chunk, not a major-heap buffer as large as the encoding (24
+   bytes per entry of a dense graph's n²). *)
+
+(* at most [Max_young_wosize] = 256 words, so the chunk is a minor block *)
+let chunk_size = 2040
+
+type key = { chunk : Bytes.t; mutable pos : int; digests : Buffer.t }
+
+let new_key () = { chunk = Bytes.create chunk_size; pos = 0; digests = Buffer.create 256 }
+
+let flush k =
+  Buffer.add_string k.digests (Digest.subbytes k.chunk 0 k.pos);
+  k.pos <- 0
+
+let key_int64 k x =
+  if k.pos + 8 > chunk_size then flush k;
+  Bytes.set_int64_le k.chunk k.pos x;
+  k.pos <- k.pos + 8
+
+let key_int k i = key_int64 k (Int64.of_int i)
+
+let key_float k x = key_int64 k (Int64.bits_of_float x)
+
+let key_tag k c =
+  if k.pos + 1 > chunk_size then flush k;
+  Bytes.set k.chunk k.pos c;
+  k.pos <- k.pos + 1
+
+let key_graph k g =
+  key_int k (Graph.n g);
+  key_int k (Graph.num_edges g);
+  Graph.iter_edges g (fun u v ->
+      key_int k u;
+      key_int k v)
+
+let key_weighted k wg =
+  key_int k (Weighted.n wg);
+  key_int k (Weighted.nnz wg);
+  for u = 0 to Weighted.n wg - 1 do
+    Weighted.iter_out wg u (fun v w ->
+        key_int k u;
+        key_int k v;
+        key_float k w)
+  done
+
+let key_channels k key_one gs =
+  key_int k (Array.length gs);
+  Array.iter
+    (fun g ->
+      key_tag k 'c';
+      key_one k g)
+    gs
+
+let key_conflict k conflict =
+  match conflict with
+  | Instance.Unweighted g ->
+      key_tag k 'u';
+      key_graph k g
+  | Instance.Edge_weighted wg ->
+      key_tag k 'w';
+      key_weighted k wg
+  | Instance.Per_channel gs ->
+      key_tag k 'p';
+      key_channels k key_graph gs
+  | Instance.Per_channel_weighted wgs ->
+      key_tag k 'q';
+      key_channels k key_weighted wgs
+
+let digest_hex k =
+  if k.pos > 0 then flush k;
+  Digest.to_hex (Digest.string (Buffer.contents k.digests))
 
 let conflict_fingerprint conflict =
-  let buf = Buffer.create 1024 in
-  emit_conflict buf conflict;
-  digest_hex (Buffer.contents buf)
+  let k = new_key () in
+  key_conflict k conflict;
+  digest_hex k
 
 let shape_fingerprint inst =
-  let buf = Buffer.create 4096 in
-  let n = Instance.n inst in
-  Buffer.add_string buf
-    (Printf.sprintf "shape n %d k %d rho %.17g\n" n inst.Instance.k inst.Instance.rho);
-  Buffer.add_string buf "ordering";
-  Array.iter
-    (fun v -> Buffer.add_string buf (Printf.sprintf " %d" v))
-    (Ordering.to_order inst.Instance.ordering);
-  Buffer.add_char buf '\n';
-  emit_conflict buf inst.Instance.conflict;
+  let k = new_key () in
+  let n = Instance.n inst and nk = inst.Instance.k in
+  key_int k n;
+  key_int k nk;
+  key_float k inst.Instance.rho;
+  Array.iter (key_int k) (Ordering.to_order inst.Instance.ordering);
+  key_conflict k inst.Instance.conflict;
   (* availability-filtered support masks, in the order [Lp_relaxation]
      materialises columns — this pins the LP's variable and row layout *)
   for v = 0 to n - 1 do
-    Buffer.add_string buf (Printf.sprintf "support %d" v);
-    Valuation.support inst.Instance.bidders.(v) ~k:inst.Instance.k
-    |> List.filter (fun (bundle, _) ->
-           Bundle.equal bundle (Instance.restrict_bundle inst ~bidder:v bundle))
-    |> List.iter (fun (bundle, _) ->
-           Buffer.add_string buf (Printf.sprintf " %d" (Bundle.to_int bundle)));
-    Buffer.add_char buf '\n'
+    let support =
+      Valuation.support inst.Instance.bidders.(v) ~k:nk
+      |> List.filter (fun (bundle, _) ->
+             Bundle.equal bundle (Instance.restrict_bundle inst ~bidder:v bundle))
+    in
+    key_int k (List.length support);
+    List.iter (fun (bundle, _) -> key_int k (Bundle.to_int bundle)) support
   done;
-  digest_hex (Buffer.contents buf)
+  digest_hex k
 
 (* --------------------------------- files -------------------------------- *)
 

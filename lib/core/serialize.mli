@@ -36,19 +36,27 @@ val allocation_of_string : string -> Allocation.t
 (** Raises [Sa_util.Fail.Error (Malformed_job _)] on malformed input, as
     {!instance_of_string}. *)
 
-val fingerprint : Instance.t -> string
-(** Hex digest of the full serialised instance — two instances share a
-    fingerprint iff they serialise identically (conflict, ordering, k, ρ,
-    availability, and every bid value). *)
+(** {2 Cache keys}
+
+    The two fingerprints below are in-process cache keys, not the file
+    format: each is a hex MD5 over a private binary encoding (fixed-width
+    ints, a tag byte per conflict kind, a count before every list) that
+    carries every positive weight as its exact float bits.  Keys are equal
+    iff the keyed parts serialise identically — so a text round trip keeps
+    them, and dense and sparse graphs with the same positive entries share
+    them.  A sparse graph's weight floor {!Sa_graph.Weighted.w_min} and
+    its {!Sa_graph.Weighted.dropped_in_bound} slack are not keyed: no
+    solver stage reads them. *)
 
 val conflict_fingerprint : Instance.conflict -> string
-(** Hex digest of the conflict structure alone.  Keys the engine's
-    topology cache (ordering π, ρ estimate, neighborhood lists): two
-    instances over the same (weighted) graph collide here even when their
-    bidders differ. *)
+(** Key of the conflict structure alone (its kind, vertex count and
+    positive entries per channel).  Keys the engine's topology cache
+    (ordering π, ρ estimate, neighborhood lists) and the colgen column
+    pool: two instances over the same (weighted) graph collide here even
+    when their bidders differ. *)
 
 val shape_fingerprint : Instance.t -> string
-(** Hex digest of everything that determines the explicit LP's *layout*:
+(** Key of everything that determines the explicit LP's *layout*:
     conflict structure, ordering, k, ρ, and each bidder's availability-
     filtered support masks — but not the bid values.  Two instances with
     equal shape fingerprints build LPs with identical variable/row

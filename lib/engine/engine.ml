@@ -67,7 +67,7 @@ type job = {
   trials : int;
   shape_key : string option;
       (* precomputed Serialize.shape_fingerprint; batch producers that know
-         their jobs repeat a topology pay the serialisation once *)
+         their jobs repeat a topology digest the graph once *)
 }
 
 let job ?(algorithm = Adaptive) ?(seed = 0) ?(trials = 4) ?shape_key ~id instance =

@@ -173,7 +173,7 @@ let base_instance engine s =
   match s.model with
   | Protocol ->
       (* geometric models key the engine's topology cache on the O(n)
-         placement fingerprint instead of serialising the conflict graph *)
+         placement fingerprint instead of digesting the conflict graph *)
       let g, _, conflict, key = Workloads.protocol_conflict ~seed:s.seed ~n:s.n () in
       let bidders = Workloads.bidders g ~n:s.n ~k:s.k ~profile:Workloads.Xor_small in
       Engine.prepare engine ~key ~conflict ~k:s.k bidders

@@ -8,7 +8,10 @@
 # and that the cross-job column pool preserves per-job results byte for
 # byte), a fault-injection smoke (serve --fault-rate twice with the
 # same seed and across domain counts must emit byte-identical per-job
-# results, with every job served), and a telemetry smoke run that
+# results, with every job served), a warm-cache determinism smoke (the
+# default configuration, basis cache on, must serve the demo, the column
+# pool workload and the fault-injection workload byte-identically at
+# --domains 1 and 4), and a telemetry smoke run that
 # validates the serve --metrics-out snapshot (parses, hot-path counters
 # nonzero, counter totals identical across domain counts), an
 # observability smoke (same-seed --events-out logs byte-identical across
@@ -250,6 +253,24 @@ dune exec bin/auction.exe -- serve --workload "$cwl" --no-warm --domains 4 \
 cmp "$tmpdir/cp_on.json" "$tmpdir/cp_d4.json" \
   || { echo "check: column-pool results differ between --domains 1 and 4" >&2; exit 1; }
 echo "   column pool: results byte-identical with pool on/off and across domains"
+
+echo "== warm-cache determinism smoke (default config, --domains 1 vs 4)"
+# The smokes above pass --no-warm; these run the shipped configuration,
+# with the LP basis cache on, and require the same per-job result bytes
+# whatever the domain count.
+warm_smoke() {
+  name="$1"; shift
+  dune exec bin/auction.exe -- serve "$@" --domains 1 \
+    --results-out "$tmpdir/warm_${name}_d1.json" >/dev/null
+  dune exec bin/auction.exe -- serve "$@" --domains 4 \
+    --results-out "$tmpdir/warm_${name}_d4.json" >/dev/null
+  cmp "$tmpdir/warm_${name}_d1.json" "$tmpdir/warm_${name}_d4.json" \
+    || { echo "check: warm-cache $name results differ between --domains 1 and 4" >&2; exit 1; }
+}
+warm_smoke demo --demo
+warm_smoke columns --workload "$cwl"
+warm_smoke resilience --workload "$rwl" --fault-rate 0.3 --fault-seed 7
+echo "   warm cache: demo, columns and resilience results byte-identical across domains"
 
 echo "== served benchmark smoke (perfbench geo-repeat + colgen-mix + sinr-fresh, traced, correctness gates, pinned bits)"
 # Each smoke must pass perfbench's own gates and reproduce the pinned

@@ -1,6 +1,7 @@
 (* QCheck property suite: allocation feasibility and bundle containment for
    every rounding path (including the batch engine), engine batch
-   determinism under sharding, and serialization round-trips. *)
+   determinism under sharding, serialization round-trips, and the cache
+   keys' sensitivity to single edits. *)
 
 module Prng = Sa_util.Prng
 module Floats = Sa_util.Floats
@@ -12,6 +13,8 @@ module Lp = Sa_core.Lp_relaxation
 module Rounding = Sa_core.Rounding
 module Greedy = Sa_core.Greedy
 module Serialize = Sa_core.Serialize
+module Graph = Sa_graph.Graph
+module Weighted = Sa_graph.Weighted
 module Workloads = Sa_exp.Workloads
 module Engine = Sa_engine.Engine
 module Workload = Sa_engine.Workload
@@ -115,6 +118,10 @@ let prop_engine_batch_deterministic =
 
 (* ---------- serialization round-trip ------------------------------------ *)
 
+(* Digest of the whole text serialisation: conflict, ordering, k, ρ,
+   availability and every bid value. *)
+let full_digest inst = Digest.string (Serialize.instance_to_string inst)
+
 let prop_serialize_round_trip =
   QCheck.Test.make ~name:"instance serialization round-trips (incl. fingerprint)"
     ~count:30
@@ -127,7 +134,7 @@ let prop_serialize_round_trip =
          re-serialising gives the same bytes, hence the same fingerprint *)
       if Serialize.instance_to_string back <> text then
         QCheck.Test.fail_reportf "re-serialisation differs (seed %d)" seed;
-      if Serialize.fingerprint back <> Serialize.fingerprint inst then
+      if full_digest back <> full_digest inst then
         QCheck.Test.fail_reportf "fingerprint not preserved (seed %d)" seed;
       if Serialize.shape_fingerprint back <> Serialize.shape_fingerprint inst then
         QCheck.Test.fail_reportf "shape fingerprint not preserved (seed %d)" seed;
@@ -158,7 +165,126 @@ let prop_revalue_preserves_shape =
       let inst = random_geometric_instance seed in
       let jittered = Workload.revalue ~seed:(seed + 17) inst in
       Serialize.shape_fingerprint jittered = Serialize.shape_fingerprint inst
-      && Serialize.fingerprint jittered <> Serialize.fingerprint inst)
+      && full_digest jittered <> full_digest inst)
+
+(* ---------- cache keys --------------------------------------------------- *)
+
+let key = Serialize.conflict_fingerprint
+
+(* A random graph on [n >= 104] vertices plus three distinct vertices
+   [a b c >= 101] with edge/entry (a, b) present and (a, c) and entry
+   (b, a) absent: moving one entry among them keeps every count and changes
+   only bytes that a tag-only encoding could confuse with a tag ('e' is
+   101). *)
+type fixture = {
+  n : int;
+  edges : (int * int) list; (* u < v, includes (min a b, max a b) *)
+  entries : (int * int * float) list; (* distinct positive directed pairs *)
+  a : int;
+  b : int;
+  c : int;
+}
+
+let random_fixture seed =
+  let g = Prng.create ~seed in
+  let n = 104 + Prng.int g 16 in
+  let pick = Prng.sample_without_replacement g 3 (n - 101) in
+  let a = 101 + pick.(0) and b = 101 + pick.(1) and c = 101 + pick.(2) in
+  let involves_ac u v = (u = a && v = c) || (u = c && v = a) in
+  let edges = ref [] and entries = ref [] in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      if u <> v && not (involves_ac u v) then begin
+        let forced = (u = a && v = b) || (u = b && v = a) in
+        if u < v && (forced || Prng.bernoulli g 0.05) then edges := (u, v) :: !edges;
+        if (u = a && v = b) || ((u, v) <> (b, a) && Prng.bernoulli g 0.05) then
+          entries := (u, v, Prng.uniform_in g 0.01 2.0) :: !entries
+      end
+    done
+  done;
+  { n; edges = List.rev !edges; entries = List.rev !entries; a; b; c }
+
+let dense_of n entries =
+  let wg = Weighted.create n in
+  List.iter (fun (u, v, x) -> Weighted.set wg u v x) entries;
+  wg
+
+let sparse_of n entries = Weighted.of_entries n (Array.of_list entries)
+
+let norm (u, v) = (min u v, max u v)
+
+let prop_conflict_key_edits =
+  QCheck.Test.make
+    ~name:"conflict keys differ after one edge, ulp, high-vertex or channel edit"
+    ~count:20
+    QCheck.(int_range 1 10_000)
+    (fun seed ->
+      let f = random_fixture seed in
+      let differs what k1 k2 =
+        if k1 = k2 then QCheck.Test.fail_reportf "%s: key unchanged (seed %d)" what seed
+      in
+      let unw edges = key (Instance.Unweighted (Graph.of_edges f.n edges)) in
+      let wtd entries = key (Instance.Edge_weighted (dense_of f.n entries)) in
+      let base_u = unw f.edges and base_w = wtd f.entries in
+      (* one edge / entry removed, one added *)
+      let ab = norm (f.a, f.b) and ac = norm (f.a, f.c) in
+      differs "edge removed" base_u (unw (List.filter (( <> ) ab) f.edges));
+      differs "edge added" base_u (unw (ac :: f.edges));
+      let without_ab = List.filter (fun (u, v, _) -> (u, v) <> (f.a, f.b)) f.entries in
+      let x_ab =
+        List.find_map (fun (u, v, x) -> if (u, v) = (f.a, f.b) then Some x else None) f.entries
+        |> Option.get
+      in
+      differs "entry removed" base_w (wtd without_ab);
+      differs "entry added" base_w (wtd ((f.a, f.c, x_ab) :: f.entries));
+      (* one weight one ulp up *)
+      differs "weight + 1 ulp" base_w (wtd ((f.a, f.b, Float.succ x_ab) :: without_ab));
+      (* one edge / entry moved between vertices >= 101 *)
+      differs "high edge moved" base_u (unw (ac :: List.filter (( <> ) ab) f.edges));
+      differs "high entry moved" base_w (wtd ((f.a, f.c, x_ab) :: without_ab));
+      differs "entry reversed" base_w (wtd ((f.b, f.a, x_ab) :: without_ab));
+      (* one edge moved from channel 0 to channel 1 *)
+      let others = List.filter (( <> ) ab) f.edges in
+      let per_channel e0 e1 =
+        key (Instance.Per_channel [| Graph.of_edges f.n e0; Graph.of_edges f.n e1 |])
+      in
+      differs "edge moved between channels" (per_channel f.edges others)
+        (per_channel others f.edges);
+      (* the same graph, unweighted vs embedded as weights *)
+      let gr = Graph.of_edges f.n f.edges in
+      differs "unweighted vs weighted embedding" base_u
+        (key (Instance.Edge_weighted (Weighted.of_graph gr)));
+      (* the LP shape key sees the same edit *)
+      let shape edges =
+        Serialize.shape_fingerprint
+          (Instance.make ~conflict:(Instance.Unweighted (Graph.of_edges f.n edges)) ~k:1
+             ~bidders:(Array.make f.n (Valuation.Additive [| 1.0 |]))
+             ~ordering:(Sa_graph.Ordering.identity f.n) ~rho:1.0)
+      in
+      differs "shape key, high edge moved" (shape f.edges) (shape (ac :: others));
+      true)
+
+let prop_conflict_key_representation =
+  QCheck.Test.make
+    ~name:"conflict keys equal for dense vs sparse with the same entries, and copies"
+    ~count:20
+    QCheck.(int_range 1 10_000)
+    (fun seed ->
+      let f = random_fixture seed in
+      let dense = dense_of f.n f.entries and sparse = sparse_of f.n f.entries in
+      let same what c1 c2 =
+        if key c1 <> key c2 then
+          QCheck.Test.fail_reportf "%s: keys differ (seed %d)" what seed
+      in
+      same "dense vs sparse" (Instance.Edge_weighted dense) (Instance.Edge_weighted sparse);
+      same "dense copy" (Instance.Edge_weighted dense)
+        (Instance.Edge_weighted (Weighted.copy dense));
+      same "sparse copy" (Instance.Edge_weighted sparse)
+        (Instance.Edge_weighted (Weighted.copy sparse));
+      same "per-channel dense vs sparse"
+        (Instance.Per_channel_weighted [| dense; sparse_of f.n [] |])
+        (Instance.Per_channel_weighted [| sparse; dense_of f.n [] |]);
+      true)
 
 (* ---------- registration ------------------------------------------------- *)
 
@@ -168,4 +294,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_engine_batch_deterministic;
     QCheck_alcotest.to_alcotest prop_serialize_round_trip;
     QCheck_alcotest.to_alcotest prop_revalue_preserves_shape;
+    QCheck_alcotest.to_alcotest prop_conflict_key_edits;
+    QCheck_alcotest.to_alcotest prop_conflict_key_representation;
   ]

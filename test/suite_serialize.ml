@@ -137,6 +137,61 @@ let test_malformed_rejected () =
   check_fails "bad allocation header" "specauction-allocation 1\nn x\n" ~line:2
     ~parse:(fun s -> ignore (Serialize.allocation_of_string s))
 
+(* The text writer walks each row's stored entries; the reference is the
+   full n² lookup loop it replaced, which must give the same bytes on dense
+   and sparse graphs (the diagonal is always zero). *)
+let reference_weighted_text wg =
+  let buf = Buffer.create 4096 in
+  let n = Sa_graph.Weighted.n wg in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      if u <> v then begin
+        let w = Sa_graph.Weighted.w wg u v in
+        if w > 0.0 then Buffer.add_string buf (Printf.sprintf "w %d %d %.17g\n" u v w)
+      end
+    done
+  done;
+  Buffer.add_string buf "end\n";
+  Buffer.contents buf
+
+(* The lines from after "conflict weighted" through its "end". *)
+let weighted_section text =
+  let rec drop = function
+    | [] -> []
+    | "conflict weighted" :: rest -> rest
+    | _ :: rest -> drop rest
+  in
+  let rec take acc = function
+    | [] -> List.rev acc
+    | "end" :: _ -> List.rev ("end\n" :: acc)
+    | l :: rest -> take ((l ^ "\n") :: acc) rest
+  in
+  String.concat "" (take [] (drop (String.split_on_char '\n' text)))
+
+let test_weighted_text_pinned () =
+  let dense_inst, sys, prm =
+    Workloads.sinr_powercontrol_instance ~seed:17 ~n:40 ~k:2 ~weight_scale:1.0 ()
+  in
+  let sparse = Sa_wireless.Sinr_graph.thm13_graph_sparse ~w_min:0.05 sys prm in
+  Alcotest.(check bool) "fixture is sparse" true (Sa_graph.Weighted.is_sparse sparse);
+  let sparse_inst =
+    Instance.make ~conflict:(Instance.Edge_weighted sparse) ~k:dense_inst.Instance.k
+      ~bidders:dense_inst.Instance.bidders ~ordering:dense_inst.Instance.ordering
+      ~rho:dense_inst.Instance.rho
+  in
+  let check what inst =
+    let wg =
+      match inst.Instance.conflict with
+      | Instance.Edge_weighted wg -> wg
+      | _ -> Alcotest.failf "%s: not edge-weighted" what
+    in
+    let section = weighted_section (Serialize.instance_to_string inst) in
+    Alcotest.(check bool) (what ^ " has entries") true (String.length section > 100);
+    Alcotest.(check string) (what ^ " weights") (reference_weighted_text wg) section
+  in
+  check "dense" dense_inst;
+  check "sparse" sparse_inst
+
 let prop_roundtrip_random =
   QCheck.Test.make ~name:"serialize roundtrip (random protocol instances)"
     ~count:20
@@ -157,4 +212,5 @@ let suite =
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
     Alcotest.test_case "malformed inputs rejected" `Quick test_malformed_rejected;
     QCheck_alcotest.to_alcotest prop_roundtrip_random;
+    Alcotest.test_case "weighted text pinned to the n^2 loop" `Quick test_weighted_text_pinned;
   ]
