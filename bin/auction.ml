@@ -66,7 +66,19 @@ let load_input load path =
       Printf.eprintf "auction: %s\n%!" msg;
       exit exit_bad_input
 
+(* Numeric flags outside their range are rejected before anything runs:
+   one line naming the first bad flag on standard error, exit 2. *)
+let require_flags cmd checks =
+  List.iter
+    (fun (ok, msg) -> if not ok then (Printf.eprintf "%s: %s\n%!" cmd msg; exit 2))
+    checks
+
 let run_auction () model algorithm n k seed trials mechanism save load =
+  let max_k = Sa_val.Bundle.max_channels and loaded = load <> None in
+  require_flags "run"
+    [ (loaded || n >= 1, "-n/--bidders must be >= 1");
+      (loaded || (k >= 1 && k <= max_k), Printf.sprintf "-k/--channels must be in [1, %d]" max_k);
+      (trials >= 1, "--trials must be >= 1") ];
   let inst =
     match load with
     | Some path -> load_input Sa_core.Serialize.load_instance path
@@ -199,10 +211,17 @@ let print_telemetry_summary (snap : Metrics.view) =
     (c "engine.topology.hits" + c "engine.topology.misses")
     (c "engine.basis.hits") (c "engine.basis.lookups")
 
-let run_serve () workload demo domains pool_chunk no_warm no_column_pool
+let run_serve () workload demo domains no_warm no_column_pool
     json_out metrics_out prom_out fault_rate fault_seed
     deadline_ms pivot_budget max_retries no_fallback results_out listen
     trace_out events_out =
+  let opt ok = Option.fold ~none:true ~some:ok in
+  require_flags "serve"
+    [ (domains >= 1, "--domains must be >= 1");
+      (opt (fun r -> r >= 0.0 && r <= 1.0) fault_rate, "--fault-rate must be in [0,1]");
+      (opt (fun ms -> ms >= 0.0) deadline_ms, "--deadline-ms must be >= 0");
+      (opt (fun p -> p >= 1) pivot_budget, "--pivot-budget must be >= 1");
+      (max_retries >= 0, "--max-retries must be >= 0") ];
   let specs =
     match (workload, demo) with
     | Some path, _ -> load_input Workload.load path
@@ -211,24 +230,14 @@ let run_serve () workload demo domains pool_chunk no_warm no_column_pool
         prerr_endline "serve: pass --workload FILE or --demo";
         exit 2
   in
-  let faults =
-    match fault_rate with
-    | None -> None
-    | Some rate when rate < 0.0 || rate > 1.0 ->
-        prerr_endline "serve: --fault-rate must be in [0,1]";
-        exit 2
-    | Some rate -> Some (Sa_engine.Faultgen.create ~seed:fault_seed ~rate ())
-  in
   let policy =
     Engine.policy
       ?deadline_s:(Option.map (fun ms -> ms /. 1e3) deadline_ms)
-      ?pivot_budget ~max_retries ~fallback:(not no_fallback) ?faults ()
+      ?pivot_budget ~max_retries ~fallback:(not no_fallback)
+      ?faults:
+        (Option.map (fun rate -> Sa_engine.Faultgen.create ~seed:fault_seed ~rate ()) fault_rate)
+      ()
   in
-  (match pool_chunk with
-  | Some c when c < 1 ->
-      prerr_endline "serve: --pool-chunk must be >= 1";
-      exit 2
-  | _ -> ());
   let engine =
     Engine.create ~warm_start:(not no_warm) ~column_pool:(not no_column_pool) ()
   in
@@ -287,9 +296,7 @@ let run_serve () workload demo domains pool_chunk no_warm no_column_pool
     (match fault_rate with
     | None -> ""
     | Some r -> Printf.sprintf ", fault-rate %.2f (seed %d)" r fault_seed);
-  let results, summary =
-    Engine.run_batch ~domains ?chunk:pool_chunk ~policy engine jobs
-  in
+  let results, summary = Engine.run_batch ~domains ~policy engine jobs in
   Atomic.set results_ref results;
   let per_job =
     match Logs.level () with
@@ -367,12 +374,6 @@ let domains_arg =
   Arg.(value & opt int 1 & info [ "domains" ]
          ~doc:"Number of OCaml domains to shard jobs across (scheduled on \
                the persistent domain pool).")
-
-let pool_chunk_arg =
-  Arg.(value & opt (some int) None & info [ "pool-chunk" ] ~docv:"N"
-         ~doc:"Fix the domain pool's self-scheduling chunk size (default: \
-               adaptive, remaining/(2*domains) capped at 64).  Results are \
-               identical for any value; only scheduling changes.")
 
 let no_column_pool_arg =
   Arg.(value & flag & info [ "no-column-pool" ]
@@ -460,7 +461,7 @@ let serve_cmd =
   let doc = "Replay a workload file through the batch auction engine" in
   Cmd.v (Cmd.info "serve" ~doc ~exits:(bad_input_exit :: Cmd.Exit.defaults))
     Term.(const run_serve $ Log_cli.term $ workload_arg $ demo_arg $ domains_arg
-          $ pool_chunk_arg $ no_warm_arg $ no_column_pool_arg $ json_arg
+          $ no_warm_arg $ no_column_pool_arg $ json_arg
           $ metrics_out_arg $ prom_out_arg
           $ fault_rate_arg $ fault_seed_arg $ deadline_ms_arg $ pivot_budget_arg
           $ max_retries_arg $ no_fallback_arg $ results_out_arg $ listen_arg
@@ -471,13 +472,7 @@ let serve_cmd =
 (* Validate and summarise a snapshot file written by [serve --metrics-out]
    (used by scripts/check.sh as a parse check). *)
 let run_metrics path =
-  let ic = open_in_bin path in
-  let contents =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Export.snapshot_of_json contents with
+  match Export.snapshot_of_json (read_file path) with
   | exception Export.Parse_error msg ->
       Printf.eprintf "metrics: %s: invalid snapshot: %s\n" path msg;
       exit 1

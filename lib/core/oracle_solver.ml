@@ -23,8 +23,6 @@ type stats = {
   seeded_columns : int;
 }
 
-type pricing = Naive | Incremental
-
 (* ------------------------- cross-job column pool ------------------------- *)
 
 (* Bounded LRU of generated (bidder, bundle) columns keyed by conflict
@@ -127,9 +125,7 @@ end
 (* Raw Section-3.1 price sums, before clamping and availability deterrents:
    p_raw(v,j) = Σ_{u ≻ v} w̄_j(u,v) · y(u,j), accumulated over v's forward
    neighbours in ascending id — the order of a scan over every u, so the
-   sums are bitwise those of that scan.  The incremental path recomputes
-   stale entries with this exact function, so its results are bitwise
-   identical to a full naive recompute. *)
+   sums are bitwise those of that scan. *)
 let raw_price inst ~y ~bidder ~channel =
   let acc = ref 0.0 in
   Instance.iter_forward inst bidder (fun u ->
@@ -154,61 +150,62 @@ let default_deterrent inst ~bidder () =
   (2.0 *. Valuation.max_value inst.Instance.bidders.(bidder) ~k:inst.Instance.k)
   +. 1.0
 
-let raw_prices inst ~y ~bidder =
-  Array.init inst.Instance.k (fun channel -> raw_price inst ~y ~bidder ~channel)
-
-let prices_for inst ~y ~bidder =
-  finish_prices inst ~bidder ~deterrent:(default_deterrent inst ~bidder)
-    (raw_prices inst ~y ~bidder)
-
-(* Incremental dual-price state: the n×k table of raw sums plus the duals
-   it was computed from.  After a master re-solve, only the (v,j) entries
-   whose contributing duals y(u,j) actually changed are recomputed. *)
-type price_state = {
-  raw : float array array; (* n×k raw sums *)
-  y_prev : float array array; (* n×k duals the sums were computed from *)
-  dirty : bool array array;
-}
-
-let price_state_create n k =
-  {
-    raw = Array.make_matrix n k 0.0;
-    y_prev = Array.make_matrix n k 0.0;
-    dirty = Array.make_matrix n k false;
+(* The n×k table of raw sums plus the duals it was computed from.  After a
+   master re-solve, only the (v,j) entries whose contributing duals y(u,j)
+   actually changed are recomputed, each with [raw_price], so every entry
+   is bitwise a full recompute's. *)
+module Price_table = struct
+  type t = {
+    inst : Instance.t;
+    raw : float array array; (* n×k raw sums *)
+    y_prev : float array array; (* n×k duals the sums were computed from *)
+    dirty : bool array array;
   }
 
-let price_state_update inst st ~y =
-  let n = Instance.n inst in
-  let k = inst.Instance.k in
-  (* mark (v,j) dirty for every neighbour v preceding a u whose y(u,j)
-     changed *)
-  for u = 0 to n - 1 do
-    for j = 0 to k - 1 do
-      let yu = y u j in
-      if yu <> st.y_prev.(u).(j) then begin
-        st.y_prev.(u).(j) <- yu;
-        Instance.iter_backward inst u (fun v ->
-            if (not st.dirty.(v).(j)) && Instance.wbar inst ~channel:j u v > 0.0
-            then st.dirty.(v).(j) <- true)
-      end
-    done
-  done;
-  let yv u j = st.y_prev.(u).(j) in
-  let recomputed = ref 0 in
-  for v = 0 to n - 1 do
-    for j = 0 to k - 1 do
-      if st.dirty.(v).(j) then begin
-        st.dirty.(v).(j) <- false;
-        st.raw.(v).(j) <- raw_price inst ~y:yv ~bidder:v ~channel:j;
-        incr recomputed
-      end
-    done
-  done;
-  Tel.add m_price_recomputes !recomputed
+  let create inst =
+    let n = Instance.n inst and k = inst.Instance.k in
+    {
+      inst;
+      raw = Array.make_matrix n k 0.0;
+      y_prev = Array.make_matrix n k 0.0;
+      dirty = Array.make_matrix n k false;
+    }
 
-let solve ?(max_rounds = 200) ?(eps = Sa_lp.Tol.feas_eps) ?(pricing = Incremental)
-    ?(domains = 1) ?deadline ?(on_stall = `Accept)
-    ?column_pool inst =
+  let update st ~y =
+    let inst = st.inst in
+    let n = Instance.n inst in
+    let k = inst.Instance.k in
+    (* mark (v,j) dirty for every neighbour v preceding a u whose y(u,j)
+       changed *)
+    for u = 0 to n - 1 do
+      for j = 0 to k - 1 do
+        let yu = y u j in
+        if yu <> st.y_prev.(u).(j) then begin
+          st.y_prev.(u).(j) <- yu;
+          Instance.iter_backward inst u (fun v ->
+              if (not st.dirty.(v).(j)) && Instance.wbar inst ~channel:j u v > 0.0
+              then st.dirty.(v).(j) <- true)
+        end
+      done
+    done;
+    let yv u j = st.y_prev.(u).(j) in
+    let recomputed = ref 0 in
+    for v = 0 to n - 1 do
+      for j = 0 to k - 1 do
+        if st.dirty.(v).(j) then begin
+          st.dirty.(v).(j) <- false;
+          st.raw.(v).(j) <- raw_price inst ~y:yv ~bidder:v ~channel:j;
+          incr recomputed
+        end
+      done
+    done;
+    Tel.add m_price_recomputes !recomputed
+
+  let raw st ~bidder ~channel = st.raw.(bidder).(channel)
+end
+
+let solve ?(max_rounds = 200) ?(eps = Sa_lp.Tol.feas_eps) ?(domains = 1) ?deadline
+    ?(on_stall = `Accept) ?column_pool inst =
   Sa_telemetry.Trace.with_span ~hist:h_solve "core.colgen.solve" @@ fun () ->
   Tel.incr m_solves;
   if domains < 1 then invalid_arg "Oracle_solver.solve: domains must be >= 1";
@@ -266,21 +263,12 @@ let solve ?(max_rounds = 200) ?(eps = Sa_lp.Tol.feas_eps) ?(pricing = Incrementa
       deterrent_cache.(v) <- default_deterrent inst ~bidder:v ();
     deterrent_cache.(v)
   in
-  let price_st =
-    match pricing with Naive -> None | Incremental -> Some (price_state_create n k)
-  in
+  let prices = Price_table.create inst in
   (* Priced channel vectors for every bidder under duals [y]. *)
   let all_prices y =
-    (match price_st with
-    | None -> ()
-    | Some st -> price_state_update inst st ~y);
+    Price_table.update prices ~y;
     Array.init n (fun v ->
-        let raw =
-          match price_st with
-          | Some st -> Array.copy st.raw.(v)
-          | None -> raw_prices inst ~y ~bidder:v
-        in
-        finish_prices inst ~bidder:v ~deterrent:(deterrent v) raw)
+        finish_prices inst ~bidder:v ~deterrent:(deterrent v) prices.Price_table.raw.(v))
   in
   (* Demand oracles fan across domains; answers merge in bidder order, so
      the generated column sequence is independent of [domains]. *)

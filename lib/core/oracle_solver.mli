@@ -54,17 +54,9 @@ module Column_pool : sig
   val miss_count : t -> int
 end
 
-type pricing =
-  | Naive  (** recompute every (bidder, channel) price from scratch *)
-  | Incremental
-      (** recompute only entries whose contributing interference duals
-          changed since the previous master solve; bitwise identical to
-          [Naive] (same summation order per entry) *)
-
 val solve :
   ?max_rounds:int ->
   ?eps:float ->
-  ?pricing:pricing ->
   ?domains:int ->
   ?deadline:float ->
   ?on_stall:[ `Accept | `Fail ] ->
@@ -84,11 +76,11 @@ val solve :
     [Sa_util.Fail.Error (Colgen_stall _)].
 
     The master LP is warm-started across rounds from the previous optimal
-    basis, with slack indices remapped as columns are appended.
-    [pricing] defaults to [Incremental]; it governs how the colgen dual
-    prices are recomputed.  Master re-solves share the domain's
-    {!Sa_lp.Workspace} arena, so a re-solve allocates only for the
-    columns added since the previous round.
+    basis, with slack indices remapped as columns are appended.  The
+    channel prices come from one {!Price_table} per solve, so each round
+    recomputes only the prices whose duals moved.  Master re-solves share
+    the domain's {!Sa_lp.Workspace} arena, so a re-solve allocates only
+    for the columns added since the previous round.
     [domains] (default 1) fans the per-round demand-oracle calls across
     OCaml 5 domains with {!Pool.map_array}; answers merge in
     bidder order, so the generated column sequence — and every telemetry
@@ -110,14 +102,21 @@ val solve :
     on its donor's column set reproduces the donor's certified objective
     bitwise. *)
 
-val raw_prices :
-  Instance.t -> y:(int -> int -> float) -> bidder:int -> float array
-(** The raw Section-3.1 sums [Σ_{u: π(u) > π(v)} w̄_j(u,v)·y(u,j)] for
-    every channel [j] of [bidder], before clamping and availability
-    deterrents.  Each sum runs over {!Instance.iter_forward} in ascending
-    id — exposed for tests. *)
+(** The Section-3.1 raw price table [Σ_{u: π(u) > π(v)} w̄_j(u,v)·y(u,j)]
+    for every (bidder v, channel j), before clamping and availability
+    deterrents.  {!solve} reads its prices only through this table.  An
+    update recomputes just the entries with a contributing dual that
+    changed since the previous update, and each of those sums runs over
+    {!Instance.iter_forward} in ascending id, so every entry is bitwise a
+    full recompute's. *)
+module Price_table : sig
+  type t
 
-val prices_for :
-  Instance.t -> y:(int -> int -> float) -> bidder:int -> float array
-(** The Section-3.1 bidder-specific prices from interference duals
-    [y u j] — exposed for tests. *)
+  val create : Instance.t -> t
+  (** All entries 0, as for all-zero duals. *)
+
+  val update : t -> y:(int -> int -> float) -> unit
+  (** Bring every entry up to date with the interference duals [y u j]. *)
+
+  val raw : t -> bidder:int -> channel:int -> float
+end

@@ -217,8 +217,8 @@ val run_batch :
 val pp_summary : Format.formatter -> summary -> unit
 
 val summary_to_json : ?extra:(string * string) list -> summary -> string
-(** One JSON object (no external deps) — embedded in [BENCH_engine.json]
-    and [auction serve --json].  [extra] appends [(key, json_value)] pairs
+(** One JSON object (no external deps) — written by
+    [auction serve --json].  [extra] appends [(key, json_value)] pairs
     verbatim after the summary fields (e.g. an embedded telemetry
     snapshot); keys must be plain identifiers, values already-valid
     JSON. *)

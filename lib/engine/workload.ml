@@ -68,6 +68,8 @@ let spec ?(model = Protocol) ?(n = 20) ?(k = 3) ?(seed = 1) ?(algorithm = Engine
     ?(trials = 4) ?(repeat = 1) ?(revalue_bids = true) () =
   if n < 1 || k < 1 || trials < 1 || repeat < 1 then
     invalid_arg "Workload.spec: n, k, trials, repeat must be >= 1";
+  if k > Sa_val.Bundle.max_channels then
+    invalid_arg "Workload.spec: k exceeds Bundle.max_channels";
   { model; n; k; seed; algorithm; trials; repeat; revalue_bids }
 
 (* ------------------------------ file format ------------------------------ *)
@@ -123,6 +125,9 @@ let parse_spec lineno words =
   let model = get "model" model_of_name None in
   let n = positive "n" None in
   let k = positive "k" None in
+  if k > Sa_val.Bundle.max_channels then
+    fail lineno
+      (Printf.sprintf "k must be <= %d, got %d" Sa_val.Bundle.max_channels k);
   let seed = get "seed" int_k (Some 1) in
   let algorithm = get "algorithm" Engine.algorithm_of_name (Some Engine.Adaptive) in
   let trials = positive "trials" (Some 4) in

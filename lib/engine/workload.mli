@@ -42,6 +42,8 @@ val spec :
   ?revalue_bids:bool ->
   unit ->
   spec
+(** Raises [Invalid_argument] when [n], [k], [trials] or [repeat] is below
+    1, or [k] exceeds {!Sa_val.Bundle.max_channels}. *)
 
 val revalue : seed:int -> Sa_core.Instance.t -> Sa_core.Instance.t
 (** Re-draw every bid value (deterministically in [seed]) while keeping
@@ -54,8 +56,9 @@ val of_string : string -> spec list
 (** Raises [Sa_util.Fail.Error (Malformed_job { detail })] on malformed
     input, [detail] starting ["line N: "] with the 1-based number of the
     offending line (the last line for an empty input or a missing
-    ['end']).  A batch whose [n], [k], [trials] or [repeat] is below 1 is
-    malformed, the rule {!spec} enforces. *)
+    ['end']).  A batch whose [n], [k], [trials] or [repeat] is below 1,
+    or whose [k] exceeds {!Sa_val.Bundle.max_channels}, is malformed, the
+    rule {!spec} enforces. *)
 
 val load : string -> spec list
 val save : string -> spec list -> unit

@@ -1,31 +1,31 @@
 #!/bin/sh
-# Repo health check: full build, test suite, an engine bench smoke run that
-# validates BENCH_engine.json, kernels + construction + resilience +
-# scheduler bench smoke runs (the kernels smoke asserts workspace-reuse
-# bitwise equality and that multi-domain colgen is no slower than one
-# domain on a host with cores to scale onto; the scheduler smoke asserts
-# the persistent domain pool is no slower per call than spawn-per-call
-# and that the cross-job column pool preserves per-job results byte for
-# byte), a fault-injection smoke (serve --fault-rate twice with the
-# same seed and across domain counts must emit byte-identical per-job
-# results, with every job served), a warm-cache determinism smoke (the
-# default configuration, basis cache on, must serve the demo, the column
-# pool workload and the fault-injection workload byte-identically at
-# --domains 1 and 4), and a telemetry smoke run that
-# validates the serve --metrics-out snapshot (parses, hot-path counters
-# nonzero, counter totals identical across domain counts), an
-# observability smoke (same-seed --events-out logs byte-identical across
-# runs and domain counts, --trace-out validates as Chrome Trace JSON),
-# and an http smoke (serve --listen on an ephemeral port, /metrics and
-# /healthz scraped with the in-tree raw-socket client), and a served-
-# benchmark smoke (one traced geo-repeat, colgen-mix and sinr-fresh
-# perfbench run each at seed 1, whose last line must report "correct":
-# true: feasibility, welfare <= LP objective, pass-to-pass byte identity
-# and the layer-sum gate; each must also print its pinned results_md5 and
-# lp.pivots, geo-repeat its pinned lp.refactorizations, and the two derand
-# workloads their pinned derand.candidates), and an
-# input-error smoke (a malformed workload file, and one with n=-1, each
-# exit nonzero but not 125, naming their line).
+# Repo health check, in the order the steps run:
+# - full build (`dune build @all`) and a soft format check;
+# - the test suite (`dune runtest`);
+# - timing gates (`bench/gates.exe`): bitset graph >= dense matrix, grid
+#   disk construction >= all pairs, domain pool >= spawn-per-call and
+#   multi-domain colgen + rounding >= one domain, each at >= 1.0x;
+# - resilience smoke: serve --fault-rate twice with the same seed and at
+#   --domains 4 must emit byte-identical per-job results, serve every job
+#   and push some jobs onto a fallback tier;
+# - input-error smoke: a malformed workload file, one with n=-1, and the
+#   bad numeric flags serve --domains 0 and run -k 0 each exit nonzero but
+#   not 125, the files naming their line;
+# - column pool smoke: results byte-identical with the pool on or off and
+#   at --domains 1 or 4;
+# - warm-cache determinism smoke: the default configuration, basis cache
+#   on, serves the demo, the column pool workload and the fault-injection
+#   workload byte-identically at --domains 1 and 4;
+# - served-benchmark smoke: one traced perfbench run each of geo-repeat,
+#   colgen-mix and sinr-fresh at seed 1 must report "correct": true and
+#   print its pinned results_md5 and lp.pivots (geo-repeat also its
+#   lp.refactorizations, the derand workloads their derand.candidates);
+# - telemetry smoke: the serve --metrics-out snapshot parses, hot-path
+#   counters are nonzero and counter totals match across --domains 1/4;
+# - observability smoke: same-seed --events-out logs byte-identical across
+#   runs and domain counts, and --trace-out validates as Chrome Trace JSON;
+# - http smoke: serve --listen on an ephemeral port, /metrics and /healthz
+#   scraped with the in-tree raw-socket client.
 # Run from anywhere inside the repo.
 set -eu
 
@@ -45,126 +45,11 @@ fi
 echo "== dune runtest"
 dune runtest
 
-echo "== bench smoke (engine group, quick mode)"
-out="BENCH_engine.json"
-rm -f "$out"
-dune exec bench/main.exe -- --quick --engine-out "$out" >/dev/null
+echo "== timing gates (bench/gates.exe)"
+dune exec bench/gates.exe
 
-test -s "$out" || { echo "check: $out missing or empty" >&2; exit 1; }
-for key in '"benchmark":"engine-batch"' '"cold":' '"warm":' '"warm_hit_rate":' \
-           '"lp_speedup_warm_over_cold":' '"pivot_ratio_cold_over_warm":'; do
-  grep -q -- "$key" "$out" || { echo "check: $out lacks $key" >&2; exit 1; }
-done
-
-echo "== kernels smoke (bench kernels, quick mode)"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-# The multi-domain run uses at most as many domains as the host has cores:
-# OCaml 5 minor collections stop every domain, so domains beyond the core
-# count wait on descheduled peers and the comparison measures the host,
-# not the fan-out.  A single-core host still runs 4 domains for the parity
-# checks; its scaling assertion is skipped below.
-rdom="$(sed -n 's/.*"recommended_domains":\([0-9]*\).*/\1/p' "$out" | head -n 1)"
-test -n "$rdom" || { echo "check: $out lacks recommended_domains" >&2; exit 1; }
-if [ "$rdom" -gt 1 ] && [ "$rdom" -lt 4 ]; then kdom="$rdom"; else kdom=4; fi
-kout="$tmpdir/kernels.json"
-dune exec bench/main.exe -- kernels --quick --domains "$kdom" \
-  --kernels-out "$kout" >/dev/null
-
-test -s "$kout" || { echo "check: $kout missing or empty" >&2; exit 1; }
-for key in '"benchmark":"kernels"' '"graph":' '"is_independent":' '"lp":' \
-           '"workspace":' '"alloc_ratio_fresh_over_reuse":' \
-           '"pipeline":' '"naive":' '"sparse_d1":' '"sparse_dN":' '"alloc_bytes":' \
-           '"speedup_incremental_over_naive":' '"scaling_dN_over_d1":'; do
-  grep -q -- "$key" "$kout" || { echo "check: $kout lacks $key" >&2; exit 1; }
-done
-
-# the sparse bitset kernel must not be slower than the dense reference on
-# the n>=200 graph case, and it must agree with it
-gspeed="$(grep -o '"is_independent":{[^}]*}' "$kout" \
-  | sed -n 's/.*"speedup":\([0-9.]*\).*/\1/p')"
-test -n "$gspeed" || { echo "check: $kout lacks graph speedup" >&2; exit 1; }
-awk "BEGIN{exit !($gspeed >= 1.0)}" \
-  || { echo "check: bitset kernel slower than dense ($gspeed x)" >&2; exit 1; }
-grep -q '"agree":true' "$kout" \
-  || { echo "check: bitset kernel disagrees with dense reference" >&2; exit 1; }
-
-# warm re-solves on a reused workspace arena must be bitwise equal to
-# fresh-arena re-solves while allocating less
-grep -q '"bitwise_equal":true' "$kout" \
-  || { echo "check: workspace reuse changed solve results" >&2; exit 1; }
-wratio="$(sed -n 's/.*"alloc_ratio_fresh_over_reuse":\([0-9.]*\).*/\1/p' "$kout" | head -n 1)"
-test -n "$wratio" || { echo "check: $kout lacks alloc ratio" >&2; exit 1; }
-awk "BEGIN{exit !($wratio >= 1.0)}" \
-  || { echo "check: arena reuse allocated more than fresh (${wratio}x)" >&2; exit 1; }
-
-# naive and incremental colgen pricing walk the identical trajectory, so
-# the two pipelines must generate the same columns and reach the same LP
-# objective (dense-vs-revised simplex parity is covered by the test suite)
-grep -q '"columns_equal":true' "$kout" \
-  || { echo "check: pipeline columns differ naive vs incremental" >&2; exit 1; }
-grep -q '"objective_delta":0.000000000' "$kout" \
-  || { echo "check: pipeline objectives differ naive vs incremental" >&2; exit 1; }
-
-# allocation telemetry must be reported for both domain counts; diff them
-a1="$(grep -o '"sparse_d1":{[^{]*' "$kout" | grep -o '"alloc_bytes":[0-9]*')"
-aN="$(grep -o '"sparse_dN":{[^{]*' "$kout" | grep -o '"alloc_bytes":[0-9]*')"
-test -n "$a1" && test -n "$aN" \
-  || { echo "check: $kout lacks alloc_bytes for d1/dN" >&2; exit 1; }
-echo "   kernels: graph speedup ${gspeed}x; reuse allocates ${wratio}x less;" \
-  "domains 1 ${a1#*:} B vs domains $kdom ${aN#*:} B allocated"
-
-# multi-domain oracle pricing must not regress versus one domain — but the
-# comparison is only meaningful when the host actually has cores to scale
-# onto, so skip it when the runtime recommends a single domain
-scaling="$(sed -n 's/.*"scaling_dN_over_d1":\([0-9.]*\).*/\1/p' "$kout" | head -n 1)"
-if [ "$rdom" -gt 1 ]; then
-  test -n "$scaling" || { echo "check: $kout lacks scaling ratio" >&2; exit 1; }
-  awk "BEGIN{exit !($scaling >= 1.0)}" \
-    || { echo "check: dN pricing slower than d1 (${scaling}x, $kdom of $rdom domains)" >&2; exit 1; }
-  echo "   kernels: d$kdom over d1 scaling ${scaling}x with $rdom recommended domains"
-else
-  echo "   scaling assertion skipped (recommended_domains=$rdom)"
-fi
-
-echo "== construction smoke (bench construction, quick mode)"
-cout="$tmpdir/construction.json"
-dune exec bench/main.exe -- construction --quick --construction-out "$cout" >/dev/null
-
-test -s "$cout" || { echo "check: $cout missing or empty" >&2; exit 1; }
-for key in '"benchmark":"construction"' '"recommended_domains":' '"disk":' \
-           '"thm13":' '"max_dropped_in_bound":'; do
-  grep -q -- "$key" "$cout" || { echo "check: $cout lacks $key" >&2; exit 1; }
-done
-
-# the grid construction must agree with the naive reference everywhere and
-# must not be slower than it on the n=1000 disk case
-if grep -q '"agree":false' "$cout"; then
-  echo "check: grid construction disagrees with naive reference" >&2; exit 1
-fi
-d1000="$(grep -o '"n":1000,[^{]*' "$cout")"
-test -n "$d1000" || { echo "check: $cout lacks disk n=1000 case" >&2; exit 1; }
-cspeed="$(printf '%s' "$d1000" | sed -n 's/.*"speedup":\([0-9.]*\).*/\1/p')"
-test -n "$cspeed" || { echo "check: disk n=1000 case lacks speedup" >&2; exit 1; }
-awk "BEGIN{exit !($cspeed >= 1.0)}" \
-  || { echo "check: grid disk construction slower than naive (${cspeed}x)" >&2; exit 1; }
-echo "   construction: disk n=1000 grid speedup ${cspeed}x, parity holds"
-
-echo "== resilience bench smoke (bench resilience, quick mode)"
-rbout="$tmpdir/resilience.json"
-dune exec bench/main.exe -- resilience --quick --resilience-out "$rbout" >/dev/null
-
-test -s "$rbout" || { echo "check: $rbout missing or empty" >&2; exit 1; }
-for key in '"benchmark":"resilience"' '"baseline":' '"rate_025":' '"rate_050":' \
-           '"wall_overhead_050_over_baseline":' '"faults_injected":'; do
-  grep -q -- "$key" "$rbout" || { echo "check: $rbout lacks $key" >&2; exit 1; }
-done
-# under a 50% fault rate the fallback chain must still serve every job,
-# and a same-seed re-run must reproduce the identical per-job results
-grep -q '"all_jobs_served_at_050":true' "$rbout" \
-  || { echo "check: jobs failed at fault rate 0.5" >&2; exit 1; }
-grep -q '"same_seed_deterministic":true' "$rbout" \
-  || { echo "check: fault injection not reproducible" >&2; exit 1; }
 
 echo "== resilience smoke (serve --fault-rate, same-seed + cross-domain diff)"
 rwl="examples/resilience.wl"
@@ -186,35 +71,6 @@ fi
 grep -Eq '"tier":"(greedy|online)"' "$tmpdir/r1.json" \
   || { echo "check: no job degraded to a fallback tier at rate 0.3" >&2; exit 1; }
 echo "   resilience: same-seed and cross-domain results byte-identical"
-
-echo "== scheduler smoke (bench scheduler, quick mode)"
-sout="$tmpdir/scheduler.json"
-dune exec bench/main.exe -- scheduler --quick --domains 4 \
-  --scheduler-out "$sout" >/dev/null
-
-test -s "$sout" || { echo "check: $sout missing or empty" >&2; exit 1; }
-for key in '"benchmark":"scheduler"' '"small_batch":' '"skewed":' \
-           '"column_pool":' '"spawn_per_call_us":' '"pool_per_call_us":' \
-           '"ratio_static_over_adaptive":' '"rounds_saved":'; do
-  grep -q -- "$key" "$sout" || { echo "check: $sout lacks $key" >&2; exit 1; }
-done
-# the persistent pool must not be slower per call than spawn-per-call, and
-# every parity / determinism flag must hold
-pspeed="$(sed -n 's/.*"speedup_pool_over_spawn":\([0-9.]*\).*/\1/p' "$sout" | head -n 1)"
-test -n "$pspeed" || { echo "check: $sout lacks pool speedup" >&2; exit 1; }
-awk "BEGIN{exit !($pspeed >= 1.0)}" \
-  || { echo "check: pool slower than spawn-per-call (${pspeed}x)" >&2; exit 1; }
-if grep -q '"parity":false' "$sout"; then
-  echo "check: scheduler produced wrong results" >&2; exit 1
-fi
-grep -q '"objectives_bitwise_equal":true' "$sout" \
-  || { echo "check: seeded colgen objectives differ from cold" >&2; exit 1; }
-grep -q '"results_bytes_identical":true' "$sout" \
-  || { echo "check: column-pool results differ from cold solve" >&2; exit 1; }
-if grep -q '"same_seed_deterministic":false' "$sout"; then
-  echo "check: column-pool runs not reproducible" >&2; exit 1
-fi
-echo "   scheduler: pool ${pspeed}x vs spawn-per-call, column-pool parity holds"
 
 echo "== input error smoke (serve --workload on a malformed file)"
 badwl="$tmpdir/bad.wl"
@@ -239,6 +95,16 @@ test "$bad_status" -ne 0 && test "$bad_status" -ne 125 \
 grep -q 'line 3' "$tmpdir/bad.err" \
   || { echo "check: n=-1 workload message does not name line 3" >&2; exit 1; }
 echo "   input errors: n=-1 workload exits $bad_status: $(head -n 1 "$tmpdir/bad.err")"
+# numeric flags outside their range are rejected before use
+for flags in "serve --demo --domains 0" "run -k 0"; do
+  set +e
+  dune exec bin/auction.exe -- $flags >/dev/null 2>"$tmpdir/bad.err"
+  bad_status=$?
+  set -e
+  test "$bad_status" -ne 0 && test "$bad_status" -ne 125 \
+    || { echo "check: '$flags' exited $bad_status (want nonzero, not 125)" >&2; exit 1; }
+  echo "   input errors: '$flags' exits $bad_status: $(head -n 1 "$tmpdir/bad.err")"
+done
 
 echo "== column pool smoke (serve byte-identity, pool on vs --no-column-pool)"
 cwl="examples/columns.wl"
@@ -405,4 +271,4 @@ kill "$srvpid" 2>/dev/null
 wait "$srvpid" 2>/dev/null || true
 echo "   http: /metrics and /healthz served on ephemeral port $port"
 
-echo "check: OK ($out and telemetry snapshot well-formed)"
+echo "check: OK"

@@ -212,6 +212,7 @@ let test_workload_rejects_malformed () =
   rejected "negative n" (batch "model=sinr n=-1 k=3") ~line:3;
   rejected "zero n" (batch "model=protocol n=0 k=3") ~line:3;
   rejected "zero k" (batch "model=sinr n=8 k=0") ~line:3;
+  rejected "k above Bundle.max_channels" (batch "model=protocol n=8 k=70 seed=1") ~line:3;
   rejected "zero trials" (batch "model=protocol n=8 k=2 trials=0") ~line:3;
   rejected "zero repeat" (batch "model=protocol n=8 k=2 repeat=0") ~line:3;
   rejected "negative repeat" (batch "model=random n=8 k=2 repeat=-4") ~line:3

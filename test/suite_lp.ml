@@ -494,6 +494,49 @@ let prop_workspace_reuse_bitwise =
       let reused = Sa_lp.Revised.solve ~workspace:arena p in
       bits fresh = bits reused)
 
+(* The colgen pattern: warm re-solves of one LP(1)-shaped packing problem
+   (60 bidders, 4 channels, 240 columns) from its optimal basis, once on a
+   shared arena and once on a fresh arena per re-solve.  The shared arena
+   must allocate no more; allocation, unlike time, is deterministic, so
+   this is an exact check. *)
+let test_workspace_reuse_allocates_less () =
+  let g = Prng.create ~seed:13 in
+  let nb = 60 and k = 4 in
+  let ncols = nb * 4 in
+  let c = Array.init ncols (fun _ -> Prng.float g 10.0) in
+  let unit_rows =
+    Array.init nb (fun v ->
+        (Array.init ncols (fun cix -> if cix mod nb = v then 1.0 else 0.0), Simplex.Le, 1.0))
+  in
+  let intf_rows =
+    Array.init (nb * k) (fun _ ->
+        ( Array.init ncols (fun _ -> if Prng.bernoulli g 0.08 then Prng.float g 1.0 else 0.0),
+          Simplex.Le,
+          2.5 ))
+  in
+  let p =
+    { Simplex.direction = Simplex.Maximize; c; rows = Array.append unit_rows intf_rows }
+  in
+  let reps = 5 in
+  let allocated ~shared =
+    let arena = Sa_lp.Workspace.create () in
+    let basis =
+      match Sa_lp.Revised.solve_warm ~workspace:arena p with
+      | _, Some b, _ -> b
+      | _, None, _ -> Alcotest.fail "packing LP did not reach optimality"
+    in
+    let before = Gc.allocated_bytes () in
+    for _ = 1 to reps do
+      let workspace = if shared then arena else Sa_lp.Workspace.create () in
+      ignore (Sa_lp.Revised.solve_warm ~warm_start:basis ~workspace p)
+    done;
+    Gc.allocated_bytes () -. before
+  in
+  let fresh = allocated ~shared:false and reuse = allocated ~shared:true in
+  Alcotest.(check bool)
+    (Printf.sprintf "fresh %.0f B >= reuse %.0f B" fresh reuse)
+    true (fresh >= reuse)
+
 (* ---------- Revised simplex cross-validation --------------------------- *)
 
 let test_revised_matches_dense_basics () =
@@ -654,4 +697,6 @@ let suite =
       test_certify_edge_cases;
     Alcotest.test_case "presolve edge cases" `Quick test_presolve_edge_cases;
     QCheck_alcotest.to_alcotest prop_workspace_reuse_bitwise;
+    Alcotest.test_case "workspace reuse allocates no more than fresh" `Quick
+      test_workspace_reuse_allocates_less;
   ]

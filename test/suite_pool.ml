@@ -258,7 +258,7 @@ let test_column_pool_lru_bounds () =
   Alcotest.(check int) "younger key kept" 1
     (List.length (Oracle.Column_pool.find pool "b"))
 
-let run_oracle_batch ~column_pool ~revalue_bids =
+let run_oracle_batch ?(domains = 1) ~column_pool ~revalue_bids () =
   (* clique conflicts make the zero-price seed columns mutually exclusive,
      so cold colgen needs several pricing rounds — room for seeding to cut *)
   let specs =
@@ -269,7 +269,7 @@ let run_oracle_batch ~column_pool ~revalue_bids =
   in
   let engine = Engine.create ~warm_start:false ~column_pool () in
   let jobs = Workload.expand engine specs in
-  let results, summary = Engine.run_batch ~domains:1 engine jobs in
+  let results, summary = Engine.run_batch ~domains engine jobs in
   (results, Engine.results_to_json results, summary)
 
 let test_engine_oracle_exact_repeats () =
@@ -277,9 +277,9 @@ let test_engine_oracle_exact_repeats () =
      from the donor's full column set, re-solves the identical LP over the
      identical column order, and must reproduce the cold run byte for
      byte — with strictly fewer colgen rounds *)
-  let rp, with_pool, s_pool = run_oracle_batch ~column_pool:true ~revalue_bids:false in
+  let rp, with_pool, s_pool = run_oracle_batch ~column_pool:true ~revalue_bids:false () in
   let rc, without_pool, s_cold =
-    run_oracle_batch ~column_pool:false ~revalue_bids:false
+    run_oracle_batch ~column_pool:false ~revalue_bids:false ()
   in
   Alcotest.(check int) "all jobs on lp tier" 4 s_pool.Engine.served_lp;
   Alcotest.(check string) "results bytes identical pool on/off" without_pool
@@ -297,14 +297,35 @@ let test_engine_oracle_exact_repeats () =
     true
     (s_pool.Engine.lp_iterations < s_cold.Engine.lp_iterations)
 
+let test_engine_oracle_pool_deterministic () =
+  (* same-seed runs with the column pool on serialise identically at every
+     domain count.  Which jobs find the pool warm depends on scheduling,
+     but a seeded exact repeat reproduces its unseeded solve byte for byte,
+     so every run must also match the one-domain bytes. *)
+  let bytes domains =
+    let _, json, _ =
+      run_oracle_batch ~domains ~column_pool:true ~revalue_bids:false ()
+    in
+    json
+  in
+  let d1 = bytes 1 in
+  List.iter
+    (fun domains ->
+      for pass = 1 to 2 do
+        Alcotest.(check string)
+          (Printf.sprintf "domains %d pass %d = domains 1" domains pass)
+          d1 (bytes domains)
+      done)
+    [ 1; 2; 4 ]
+
 let test_engine_oracle_revalued_repeats () =
   (* revalued repeats: same topology, fresh bids.  The seeded master holds
      different columns than the cold one, so the simplex takes a different
      arithmetic path to the same optimum — the certified objective must
      agree to solver tolerance (bitwise equality is the exact-repeat
      contract, tested above) *)
-  let rp, _, s_pool = run_oracle_batch ~column_pool:true ~revalue_bids:true in
-  let rc, _, s_cold = run_oracle_batch ~column_pool:false ~revalue_bids:true in
+  let rp, _, s_pool = run_oracle_batch ~column_pool:true ~revalue_bids:true () in
+  let rc, _, s_cold = run_oracle_batch ~column_pool:false ~revalue_bids:true () in
   Alcotest.(check int) "same job count" (Array.length rc) (Array.length rp);
   Array.iteri
     (fun i (r : Engine.result) ->
@@ -339,6 +360,8 @@ let suite =
     Alcotest.test_case "column pool LRU bounds" `Quick test_column_pool_lru_bounds;
     Alcotest.test_case "engine oracle exact repeats byte-identical" `Quick
       test_engine_oracle_exact_repeats;
+    Alcotest.test_case "engine oracle column pool same bytes at 1, 2, 4 domains"
+      `Quick test_engine_oracle_pool_deterministic;
     Alcotest.test_case "engine oracle revalued repeats objective parity" `Quick
       test_engine_oracle_revalued_repeats;
   ]

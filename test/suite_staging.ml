@@ -332,54 +332,59 @@ let prop_feasibility_matches_reference =
 
 (* ---------- colgen raw prices --------------------------------------------- *)
 
+(* Colgen reads its prices only through [Price_table], so a table that
+   equals the all-vertex sum after every update walks the trajectory a full
+   recompute per round would.  Each step keeps some duals from the step
+   before (entries the table must leave alone), zeroes some exactly (and
+   one in a few to -0.0), and draws the rest over exponents 1e-3..1e3, so
+   a stale entry or a changed summation order shows in the last bits. *)
 let prop_raw_prices_match_reference =
   QCheck.Test.make ~count:120 ~name:"colgen raw price table = all-vertex sum, bitwise"
     seeds (fun seed ->
       let what, inst, _, g = random_instance seed in
       let n = Instance.n inst and k = inst.Instance.k in
-      (* duals with exact zeros and a wide exponent range, so summation
-         order would show in the last bits *)
-      let duals =
-        Array.init n (fun _ ->
-            Array.init k (fun _ ->
-                if Prng.int g 4 = 0 then 0.0
-                else Prng.float g 1.0 *. (10.0 ** float_of_int (Prng.int g 7 - 3))))
-      in
-      let y u j = duals.(u).(j) in
-      for bidder = 0 to n - 1 do
-        let got = Oracle.raw_prices inst ~y ~bidder in
-        for channel = 0 to k - 1 do
-          let want = Lp_reference.raw_price inst ~y ~bidder ~channel in
-          if not (same_float got.(channel) want) then
-            fail "%s seed %d: raw price (%d, %d) %h vs %h" what seed bidder channel
-              got.(channel) want
+      let table = Oracle.Price_table.create inst in
+      let duals = Array.make_matrix n k 0.0 in
+      for step = 1 to 1 + Prng.int g 8 do
+        Array.iter
+          (fun row ->
+            for j = 0 to k - 1 do
+              match Prng.int g 12 with
+              | 0 | 1 | 2 | 3 -> ()
+              | 4 | 5 -> row.(j) <- 0.0
+              | 6 -> row.(j) <- -0.0
+              | _ -> row.(j) <- Prng.float g 1.0 *. (10.0 ** float_of_int (Prng.int g 7 - 3))
+            done)
+          duals;
+        let y u j = duals.(u).(j) in
+        Oracle.Price_table.update table ~y;
+        for bidder = 0 to n - 1 do
+          for channel = 0 to k - 1 do
+            let got = Oracle.Price_table.raw table ~bidder ~channel in
+            let want = Lp_reference.raw_price inst ~y ~bidder ~channel in
+            if not (same_float got want) then
+              fail "%s seed %d step %d: raw price (%d, %d) %h vs %h" what seed step
+                bidder channel got want
+          done
         done
       done;
       true)
 
 (* The colgen master stages its interference entries along forward
-   neighbourhoods and marks stale prices along backward ones: incremental
-   pricing must reproduce naive pricing bit for bit, and the converged
+   neighbourhoods and marks stale prices along backward ones: the converged
    master must reach the explicit LP optimum at a feasible point. *)
 let prop_colgen_matches_explicit =
   QCheck.Test.make ~count:60
-    ~name:"colgen: naive = incremental, optimum = explicit LP, feasible" seeds
+    ~name:"colgen: optimum = explicit LP, feasible" seeds
     (fun seed ->
       let what, inst, _, _ = random_instance seed in
-      let run pricing = Oracle.solve ~pricing inst in
-      let f_naive, s_naive = run Oracle.Naive in
-      let f_inc, s_inc = run Oracle.Incremental in
-      if
-        (not (same_float f_naive.Lp.objective f_inc.Lp.objective))
-        || s_naive.Oracle.columns_generated <> s_inc.Oracle.columns_generated
-        || s_naive.Oracle.iterations <> s_inc.Oracle.iterations
-      then fail "%s seed %d: incremental pricing diverged from naive" what seed;
+      let frac, _ = Oracle.solve inst in
       let explicit = Lp.solve_explicit inst in
       let scale = 1.0 +. Float.abs explicit.Lp.objective in
-      if Float.abs (f_inc.Lp.objective -. explicit.Lp.objective) > 1e-6 *. scale then
-        fail "%s seed %d: colgen %.9g vs explicit %.9g" what seed f_inc.Lp.objective
+      if Float.abs (frac.Lp.objective -. explicit.Lp.objective) > 1e-6 *. scale then
+        fail "%s seed %d: colgen %.9g vs explicit %.9g" what seed frac.Lp.objective
           explicit.Lp.objective;
-      if not (Lp_reference.is_lp_feasible inst f_inc) then
+      if not (Lp_reference.is_lp_feasible inst frac) then
         fail "%s seed %d: colgen solution infeasible" what seed;
       true)
 
