@@ -22,16 +22,27 @@
     and the §5 argument does not apply to such pairs.  Derand jobs are
     still served at larger [n] (the sinr-fresh benchmark workload serves
     them at [n = 110]); choosing [p ≥ n] fixes this but changes the served
-    results for [n > 101] (ROADMAP item 8).
+    results for [n > 101] (ROADMAP item 4).
 
-    Cost: [p²] = 10 201 rounding passes of one {!Rounding.plan}, built once
-    per call.  A pass computes the uniforms of the bidders with LP columns,
-    draws their bundles from per-bidder cumulative tables, and resolves
-    conflicts over the bidders that drew a non-empty bundle only
-    (O(active²) per pass, plus the welfare of the survivors).  Only a
-    pass that beats the best so far copies its allocation out.  The result
-    is bitwise that of running {!Rounding.round_with_uniforms} per seed and
-    keeping the best, earliest on ties. *)
+    Cost: one {!Rounding.plan} per call, built with [~levels:p]: it
+    stores, for each bidder with LP columns and each level [r ∈ \[0, p)],
+    the column the inverse-CDF scan picks at the uniform [r/p], a flat w̄
+    table over those bidders (edge-weighted instances) and the value of
+    each of their bundles.  Seed [(a, b)] gives bidder [v] the level
+    [(a·v + b) mod p], so for each [a] the non-empty picks are
+    counting-sorted into buckets [b = (r − a·v) mod p], bidders ascending:
+    O(p + Σ hits) per [a], where the hits are the (bidder, level) pairs
+    that pick a non-empty bundle.  Candidate [(a, b)]'s active bidders are
+    bucket [b], and the candidate costs O(active²): the conflict
+    resolution over them, plus the welfare of the survivors.  Only a
+    candidate that beats the best so far copies its allocation out, and
+    [p²] = 10 201 candidates are scored per call.  The result is bitwise
+    that of running {!Rounding.round_with_uniforms} per seed and keeping
+    the best, earliest on ties.
+
+    Telemetry: each call is one [core.derand] span (inside [core.round]
+    when the engine serves it) and adds [p²] to
+    [core.derand.candidates]. *)
 
 val prime : int
 (** 101 — the field size; probabilities are quantised to multiples of 1/101. *)

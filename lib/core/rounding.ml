@@ -1,4 +1,5 @@
 module Bundle = Sa_val.Bundle
+module Valuation = Sa_val.Valuation
 module Ordering = Sa_graph.Ordering
 module Graph = Sa_graph.Graph
 module Bitset = Sa_graph.Bitset
@@ -11,15 +12,18 @@ let m_trials = Tel.counter "core.rounding.trials"
 let m_improvements = Tel.counter "core.rounding.improvements"
 
 (* The rounding trial loops borrow the domain's LP scratch arena for their
-   per-bidder weight buffers and active/survivor lists (slots 24-31 are
-   reserved for this module; see [Sa_lp.Workspace]).  Trials never run
-   concurrently with a simplex solve on the same domain, and the slots are
-   disjoint from the solver's in any case. *)
+   per-bidder weight buffers, active/survivor lists, w̄ tables and bidder
+   values (slots 24-31 are reserved for this module; see
+   [Sa_lp.Workspace]).  Trials never run concurrently with a simplex
+   solve on the same domain, and the slots are disjoint from the solver's
+   in any case. *)
 module Ws = Sa_lp.Workspace
 
 let slot_weights = 24
 let slot_active = 25
 let slot_survivors = 26
+let slot_table = 27
+let slot_values = 28
 
 (* Rounding stage shared by all variants: every bidder independently picks
    bundle T with probability x_{v,T} / scale_down, and the empty bundle with
@@ -74,6 +78,12 @@ let better inst a b = if Allocation.value inst a >= Allocation.value inst b then
 (* ascending id — and every float sum adds the same terms in the same  *)
 (* order as a scan over all n bidders: the results are bitwise those   *)
 (* of the full scans.                                                  *)
+(*                                                                     *)
+(* The sums read w̄ from a [wtable] and bidder values from a per-vertex *)
+(* [float array] ([tval.(v)] = [Allocation.bidder_value] of the bundle *)
+(* [v] holds), both filled by the same [Weighted.wbar] and             *)
+(* [Valuation.value] calls the sums made before, so they add the same  *)
+(* floats.                                                             *)
 
 (* Algorithm 3's scratch, sized for n bidders. *)
 type scratch = {
@@ -95,6 +105,25 @@ let scratch n =
     n_kept = 0;
   }
 
+(* w̄ over a set of bidders in one flat unboxed table: member [v] sits at
+   index [at.(v)] ([at] is read for members only) and
+   [w.(at.(v) * size + at.(u))] is [Weighted.wbar wg u v].  IEEE-754
+   addition is commutative, so [wbar u v] and [wbar v u] are the same
+   float and one call fills both cells. *)
+type wtable = { at : int array; size : int; w : float array }
+
+let fill_wtable wg ~at ~w ids len =
+  for i = 0 to len - 1 do
+    at.(ids.(i)) <- i;
+    w.((i * len) + i) <- 0.0;
+    for j = 0 to i - 1 do
+      let x = Weighted.wbar wg ids.(j) ids.(i) in
+      w.((i * len) + j) <- x;
+      w.((j * len) + i) <- x
+    done
+  done;
+  { at; size = len; w }
+
 (* The bidders holding a non-empty bundle of [alloc], ascending, in the
    arena's active-list slot. *)
 let active_of alloc =
@@ -110,12 +139,30 @@ let active_of alloc =
 
 let survivors_buffer n_act = Ws.ints (Ws.get ()) ~slot:slot_survivors n_act
 
-(* [Allocation.value] of the allocation giving [t.(v)] to the bidders
-   [ids.(0 .. len-1)] (ascending) and nothing to the others. *)
-let value_of inst t ids len =
+(* The w̄ table over [ids.(0 .. len-1)], in the arena's table slots. *)
+let wtable_of wg ids len =
+  let ws = Ws.get () in
+  fill_wtable wg
+    ~at:(Ws.ints ws ~slot:slot_table (Weighted.n wg))
+    ~w:(Ws.floats ws ~slot:slot_table (len * len))
+    ids len
+
+(* [tval.(v)] for the bidders [ids.(0 .. len-1)] of [alloc], in the
+   arena's value slot. *)
+let values_of inst alloc ids len =
+  let tval = Ws.floats (Ws.get ()) ~slot:slot_values (Array.length alloc) in
+  for i = 0 to len - 1 do
+    let v = ids.(i) in
+    tval.(v) <- Allocation.bidder_value inst alloc v
+  done;
+  tval
+
+(* [Allocation.value] of the allocation giving their bundles to the
+   bidders [ids.(0 .. len-1)] (ascending) and nothing to the others. *)
+let value_of tval ids len =
   let total = ref 0.0 in
   for i = 0 to len - 1 do
-    total := !total +. Allocation.bidder_value inst t ids.(i)
+    total := !total +. tval.(ids.(i))
   done;
   !total
 
@@ -131,21 +178,19 @@ let materialize n t ids len =
    the tentative bundles [t] that no earlier (in π) active neighbour
    shares a channel with go to [surv], ascending; returns their count.
    [mask] is all clear on entry and on exit; the per-vertex check scans
-   only the set bits of row ∧ mask. *)
-let resolve_unweighted_into inst g mask t act n_act surv =
-  let pi = inst.Instance.ordering in
+   only the set bits of row ∧ mask, with one test closure per call (it
+   reads the vertex under test from [cur]) rather than one per vertex. *)
+let resolve_unweighted_into pi g mask t act n_act surv =
   for i = 0 to n_act - 1 do
     Bitset.add mask act.(i)
   done;
+  let cur = ref 0 in
+  let conflicts u = Ordering.precedes pi u !cur && Bundle.intersects t.(u) t.(!cur) in
   let n_surv = ref 0 in
   for i = 0 to n_act - 1 do
     let v = act.(i) in
-    let tv = t.(v) in
-    let conflicted =
-      Graph.exists_row_inter g v mask (fun u ->
-          Ordering.precedes pi u v && Bundle.intersects t.(u) tv)
-    in
-    if not conflicted then begin
+    cur := v;
+    if not (Graph.exists_row_inter g v mask conflicts) then begin
       surv.(!n_surv) <- v;
       incr n_surv
     end
@@ -155,42 +200,43 @@ let resolve_unweighted_into inst g mask t act n_act surv =
   done;
   !n_surv
 
-(* Backward shared-channel mass into [v]: Σ w̄(u,v) over the active u
-   before v in π whose bundle meets v's, in ascending u. *)
-let backward_shared_mass inst wg t act n_act v =
-  let pi = inst.Instance.ordering in
+(* Condition (5) fails at [v]: its backward shared-channel mass, Σ w̄(u,v)
+   over the active u before v in π whose bundle meets v's, summed in
+   ascending u, reaches 1/2.  (A bool, not the sum: a float result would
+   be boxed on every call.) *)
+let condition5_fails pi wt t act n_act v =
   let tv = t.(v) in
+  let row = wt.at.(v) * wt.size in
   let total = ref 0.0 in
   for i = 0 to n_act - 1 do
     let u = act.(i) in
     if u <> v && Ordering.precedes pi u v && Bundle.intersects t.(u) tv then
-      total := !total +. Weighted.wbar wg u v
+      total := !total +. wt.w.(row + wt.at.(u))
   done;
-  !total
+  !total >= 0.5
 
 (* Algorithm 2's resolution (Condition (5)): an active bidder whose
    backward shared mass reaches 1/2 is dropped; the others go to [surv],
    ascending; returns their count. *)
-let resolve_partial_into inst wg t act n_act surv =
+let resolve_partial_into pi wt t act n_act surv =
   let n_surv = ref 0 in
   for i = 0 to n_act - 1 do
     let v = act.(i) in
-    if not (backward_shared_mass inst wg t act n_act v >= 0.5) then begin
+    if not (condition5_fails pi wt t act n_act v) then begin
       surv.(!n_surv) <- v;
       incr n_surv
     end
   done;
   !n_surv
 
-(* Algorithm 3 on the partly feasible allocation giving [t.(v)] to the
-   bidders [ids.(0 .. len-1)] (ascending).  Leaves the best candidate's
-   bidders in [sc.kept] (ascending, [sc.n_kept] of them; none when no
-   candidate beats the empty allocation) and returns its value.  Each
-   pass visits the candidate's bidders by decreasing rank and sums a
-   bidder's incoming interference over the bidders still present, in
-   ascending id. *)
-let algorithm3_into inst wg sc t ids len =
-  let pi = inst.Instance.ordering in
+(* Algorithm 3 on the partly feasible allocation giving [t.(v)] (worth
+   [tval.(v)]) to the bidders [ids.(0 .. len-1)] (ascending).  Leaves the
+   best candidate's bidders in [sc.kept] (ascending, [sc.n_kept] of them;
+   none when no candidate beats the empty allocation) and returns its
+   value.  Each pass visits the candidate's bidders by decreasing rank
+   and sums a bidder's incoming interference over the bidders still
+   present, in ascending id. *)
+let algorithm3_into pi wt tval sc t ids len =
   (* insertion sort by decreasing rank: the order a scan of π from the
      back meets them *)
   for i = 0 to len - 1 do
@@ -221,11 +267,12 @@ let algorithm3_into inst wg sc t ids len =
       let v = sc.order.(i) in
       let sv = sc.si.(v) in
       if not (Bundle.is_empty sv) then begin
+        let row = wt.at.(v) * wt.size in
         let incoming = ref 0.0 in
         for j = 0 to len - 1 do
           let u = ids.(j) in
           if u <> v && Bundle.intersects sc.si.(u) sv then
-            incoming := !incoming +. Weighted.wbar wg u v
+            incoming := !incoming +. wt.w.(row + wt.at.(u))
         done;
         if !incoming >= 1.0 then begin
           sc.si.(v) <- Bundle.empty;
@@ -237,8 +284,7 @@ let algorithm3_into inst wg sc t ids len =
     let value = ref 0.0 in
     for j = 0 to len - 1 do
       let u = ids.(j) in
-      if not (Bundle.is_empty sc.si.(u)) then
-        value := !value +. Allocation.bidder_value inst sc.si u
+      if not (Bundle.is_empty sc.si.(u)) then value := !value +. tval.(u)
     done;
     if not (!best_value >= !value) then begin
       best_value := !value;
@@ -270,7 +316,8 @@ let resolve_unweighted inst g tentative_alloc =
   let act, n_act = active_of tentative_alloc in
   let surv = survivors_buffer n_act in
   let n_surv =
-    resolve_unweighted_into inst g (Graph.mask_create g) tentative_alloc act n_act surv
+    resolve_unweighted_into inst.Instance.ordering g (Graph.mask_create g) tentative_alloc
+      act n_act surv
   in
   materialize n tentative_alloc surv n_surv
 
@@ -299,8 +346,11 @@ let algorithm1 g_rng inst frac =
 let resolve_partial inst wg tentative_alloc =
   let n = Instance.n inst in
   let act, n_act = active_of tentative_alloc in
+  let wt = wtable_of wg act n_act in
   let surv = survivors_buffer n_act in
-  let n_surv = resolve_partial_into inst wg tentative_alloc act n_act surv in
+  let n_surv =
+    resolve_partial_into inst.Instance.ordering wt tentative_alloc act n_act surv
+  in
   materialize n tentative_alloc surv n_surv
 
 let algorithm2_scaled g_rng inst frac ~scale_down =
@@ -326,9 +376,11 @@ let is_partly_feasible inst alloc =
   match inst.Instance.conflict with
   | Instance.Edge_weighted wg ->
       let act, n_act = active_of alloc in
+      let wt = wtable_of wg act n_act in
+      let pi = inst.Instance.ordering in
       let ok = ref true in
       for i = 0 to n_act - 1 do
-        if backward_shared_mass inst wg alloc act n_act act.(i) >= 0.5 then ok := false
+        if condition5_fails pi wt alloc act n_act act.(i) then ok := false
       done;
       !ok
   | Instance.Unweighted _ | Instance.Per_channel _ | Instance.Per_channel_weighted _
@@ -346,8 +398,10 @@ let algorithm3 inst alloc =
   in
   let n = Instance.n inst in
   let ids, len = active_of alloc in
+  let wt = wtable_of wg ids len in
+  let tval = values_of inst alloc ids len in
   let sc = scratch n in
-  ignore (algorithm3_into inst wg sc alloc ids len);
+  ignore (algorithm3_into inst.Instance.ordering wt tval sc alloc ids len);
   materialize n alloc sc.kept sc.n_kept
 
 (* ------------------------------------------------------------------ *)
@@ -543,16 +597,37 @@ let solve_par ?(domains = Pool.default_domains) ?chunk ?(trials = 8) ~seed inst 
 (* columns scaled by [1/scale_down], at an explicit uniform u_v.       *)
 (*                                                                     *)
 (* Everything that does not depend on the uniforms is built once per   *)
-(* plan: the by-size column split, each bidder's bundles and running   *)
-(* sums [acc +. x /. scale_down] in [Lp_relaxation.by_bidder] order,   *)
-(* and the buffers the passes reuse.  A pass then costs O(columns) to  *)
-(* draw plus the active-set resolution above.                          *)
+(* plan: the by-size column split, each bidder's bundles, their values *)
+(* and running sums [acc +. x /. scale_down] in                        *)
+(* [Lp_relaxation.by_bidder] order, the w̄ table over the bidders with *)
+(* columns, and the buffers the passes reuse.                          *)
+(*                                                                     *)
+(* With [~levels:p], the plan also records the draws that land at each *)
+(* level: bidder v's pick at u = r/p for every r in [0, p), by the     *)
+(* same scan.  Seed (a, b) gives v the level (a·v + b) mod p, so       *)
+(* [plan_slope ~a] counting-sorts every non-empty pick into its bucket *)
+(* b = (r − a·v) mod p, bidders ascending, and the active bidders of   *)
+(* seed (a, b) are bucket b: a pass costs the resolution over them.    *)
 
 type side = {
   bidders : int array;  (** bidders with columns on this side, ascending *)
   bundles : Bundle.t array array;  (** [bidders.(i)]'s column bundles *)
+  values : float array array;  (** their values to [bidders.(i)] *)
   cum : float array array;  (** their running sums [acc +. x /. scale_down] *)
-  t : Bundle.t array;  (** tentative bundles; empty off [bidders] *)
+  (* the non-empty picks at every level, ascending in bidder then level:
+     bidder [hit_v.(h)] draws [hit_bundle.(h)], worth [hit_value.(h)], at
+     level [hit_level.(h)] *)
+  hit_v : int array;
+  hit_level : int array;
+  hit_bundle : Bundle.t array;
+  hit_value : float array;
+  hit_bucket : int array;  (** each hit's bucket under the current slope *)
+  start : int array;
+      (** bucket b holds the hits [by_bucket.(start.(b) .. start.(b+1) - 1)] *)
+  cursor : int array;
+  by_bucket : int array;
+  t : Bundle.t array;  (** tentative bundles; read for the active bidders only *)
+  tval : float array;  (** their values *)
   act : int array;  (** active bidders of the last draw, ascending *)
   mutable n_act : int;
   surv : int array;  (** survivors of the last resolution, ascending *)
@@ -562,15 +637,18 @@ type side = {
 
 type plan = {
   inst : Instance.t;
-  bidders : int array;  (** every bidder with a column, ascending *)
   sides : side array;
       (** small then large bundles ([Unweighted], [Edge_weighted]), or all
           columns (per-channel instances) *)
+  levels : int;  (** p, or 0 without per-level picks *)
+  mutable slope : int;  (** a of the current buckets, or -1 *)
   mask : int array;  (** Algorithm 1's active-bidder mask, clear between passes *)
+  wt : wtable;  (** w̄ over the bidders with columns ([Edge_weighted] only) *)
   sc : scratch;
-  (* the last stage's result: [res_t.(v)] for the bidders in
-     [res_ids.(0 .. res_len-1)], nothing for the others *)
+  (* the last stage's result: [res_t.(v)], worth [res_tval.(v)], for the
+     bidders in [res_ids.(0 .. res_len-1)], nothing for the others *)
   mutable res_t : Bundle.t array;
+  mutable res_tval : float array;
   mutable res_ids : int array;
   mutable res_len : int;
 }
@@ -578,9 +656,19 @@ type plan = {
 let with_columns ~n per_bidder =
   Array.of_list (List.filter (fun v -> per_bidder.(v) <> []) (List.init n Fun.id))
 
-let side_of ~n ~scale_down per_bidder =
+(* Inverse-CDF pick: the first column whose running sum exceeds [u], or
+   [Array.length cum] for none. *)
+let pick cum u =
+  let j = ref 0 in
+  while !j < Array.length cum && not (u < cum.(!j)) do
+    incr j
+  done;
+  !j
+
+let side_of inst ~n ~scale_down ~levels per_bidder =
   let bidders = with_columns ~n per_bidder in
   let cols = Array.map (fun v -> Array.of_list per_bidder.(v)) bidders in
+  let bundles = Array.map (Array.map fst) cols in
   let cum =
     Array.map
       (fun c ->
@@ -594,12 +682,51 @@ let side_of ~n ~scale_down per_bidder =
         sums)
       cols
   in
+  let values =
+    Array.mapi
+      (fun i bs ->
+        Array.map (Valuation.value inst.Instance.bidders.(bidders.(i))) bs)
+      bundles
+  in
+  (* [f i r j] for every non-empty pick [j] of bidder [bidders.(i)] at
+     level [r], ascending in [i] then [r] *)
+  let iter_hits f =
+    for i = 0 to Array.length bidders - 1 do
+      for r = 0 to levels - 1 do
+        let j = pick cum.(i) (float_of_int r /. float_of_int levels) in
+        if j < Array.length cum.(i) && not (Bundle.is_empty bundles.(i).(j)) then f i r j
+      done
+    done
+  in
+  let n_hits = ref 0 in
+  iter_hits (fun _ _ _ -> incr n_hits);
+  let hit_v = Array.make !n_hits 0
+  and hit_level = Array.make !n_hits 0
+  and hit_bundle = Array.make !n_hits Bundle.empty
+  and hit_value = Array.make !n_hits 0.0 in
+  let h = ref 0 in
+  iter_hits (fun i r j ->
+      hit_v.(!h) <- bidders.(i);
+      hit_level.(!h) <- r;
+      hit_bundle.(!h) <- bundles.(i).(j);
+      hit_value.(!h) <- values.(i).(j);
+      incr h);
   let m = Array.length bidders in
   {
     bidders;
-    bundles = Array.map (Array.map fst) cols;
+    bundles;
+    values;
     cum;
+    hit_v;
+    hit_level;
+    hit_bundle;
+    hit_value;
+    hit_bucket = Array.make !n_hits 0;
+    start = Array.make (levels + 1) 0;
+    cursor = Array.make levels 0;
+    by_bucket = Array.make !n_hits 0;
     t = Array.make n Bundle.empty;
+    tval = Array.make n 0.0;
     act = Array.make m 0;
     n_act = 0;
     surv = Array.make m 0;
@@ -607,83 +734,145 @@ let side_of ~n ~scale_down per_bidder =
     value = 0.0;
   }
 
-let plan inst frac ~scale_down =
+let plan ?(levels = 0) inst frac ~scale_down =
+  if levels < 0 then invalid_arg "Rounding.plan: negative levels";
   let n = Instance.n inst in
   let per_bidder = Lp_relaxation.by_bidder frac ~n in
+  let side = side_of inst ~n ~scale_down ~levels in
   let sides =
     match inst.Instance.conflict with
     | Instance.Unweighted _ | Instance.Edge_weighted _ ->
         let k = float_of_int inst.Instance.k in
         let small, large = split_by_size per_bidder ~threshold:(sqrt k) in
-        [| side_of ~n ~scale_down small; side_of ~n ~scale_down large |]
-    | Instance.Per_channel _ | Instance.Per_channel_weighted _ ->
-        [| side_of ~n ~scale_down per_bidder |]
+        [| side small; side large |]
+    | Instance.Per_channel _ | Instance.Per_channel_weighted _ -> [| side per_bidder |]
+  in
+  let wt =
+    match inst.Instance.conflict with
+    | Instance.Edge_weighted wg ->
+        let bidders = with_columns ~n per_bidder in
+        let m = Array.length bidders in
+        fill_wtable wg ~at:(Array.make n 0) ~w:(Array.create_float (m * m)) bidders m
+    | Instance.Unweighted _ | Instance.Per_channel _ | Instance.Per_channel_weighted _ ->
+        { at = [||]; size = 0; w = [||] }
   in
   {
     inst;
-    bidders = with_columns ~n per_bidder;
     sides;
+    levels;
+    slope = -1;
     mask = Bitset.create n;
+    wt;
     sc = scratch n;
     res_t = sides.(0).t;
+    res_tval = sides.(0).tval;
     res_ids = sides.(0).surv;
     res_len = 0;
   }
 
-let plan_bidders p = p.bidders
-
-(* Inverse-CDF pick: bidder v gets the first column whose running sum
-   exceeds u_v, or nothing. *)
+(* Bidder v draws at [uniforms.(v)]. *)
 let draw s uniforms =
   s.n_act <- 0;
   for i = 0 to Array.length s.bidders - 1 do
     let v = s.bidders.(i) in
-    let u = uniforms.(v) and cum = s.cum.(i) in
-    let j = ref 0 in
-    while !j < Array.length cum && not (u < cum.(!j)) do
-      incr j
-    done;
-    let bundle = if !j < Array.length cum then s.bundles.(i).(!j) else Bundle.empty in
+    let j = pick s.cum.(i) uniforms.(v) in
+    let bundle = if j < Array.length s.cum.(i) then s.bundles.(i).(j) else Bundle.empty in
     s.t.(v) <- bundle;
     if not (Bundle.is_empty bundle) then begin
+      s.tval.(v) <- s.values.(i).(j);
       s.act.(s.n_act) <- v;
       s.n_act <- s.n_act + 1
     end
   done
 
-(* Rounding plus the resolution stage of the conflict structure on both
-   sides; the more valuable side (the small one on ties) is the result. *)
-let plan_round p uniforms =
+(* Counting sort of the hits into the buckets of slope [a], stable, so
+   each bucket lists its bidders ascending (a bidder has one level per
+   seed, so at most one hit per bucket). *)
+let fill_buckets ~levels ~a s =
+  let start = s.start in
+  Array.fill start 0 (levels + 1) 0;
+  for h = 0 to Array.length s.hit_v - 1 do
+    let b = s.hit_level.(h) - ((a * s.hit_v.(h)) mod levels) in
+    let b = if b < 0 then b + levels else b in
+    s.hit_bucket.(h) <- b;
+    start.(b + 1) <- start.(b + 1) + 1
+  done;
+  for b = 1 to levels do
+    start.(b) <- start.(b) + start.(b - 1)
+  done;
+  Array.blit start 0 s.cursor 0 levels;
+  for h = 0 to Array.length s.hit_v - 1 do
+    let b = s.hit_bucket.(h) in
+    s.by_bucket.(s.cursor.(b)) <- h;
+    s.cursor.(b) <- s.cursor.(b) + 1
+  done
+
+(* The active bidders of seed (slope, b): bucket b. *)
+let draw_bucket s b =
+  let lo = s.start.(b) in
+  let n_act = s.start.(b + 1) - lo in
+  for e = 0 to n_act - 1 do
+    let h = s.by_bucket.(lo + e) in
+    let v = s.hit_v.(h) in
+    s.t.(v) <- s.hit_bundle.(h);
+    s.tval.(v) <- s.hit_value.(h);
+    s.act.(e) <- v
+  done;
+  s.n_act <- n_act
+
+(* The resolution stage of the conflict structure on the last draw of
+   [s], and the welfare of its survivors. *)
+let resolve_side p s =
   let inst = p.inst in
-  let resolve =
-    match inst.Instance.conflict with
-    | Instance.Unweighted g -> resolve_unweighted_into inst g p.mask
-    | Instance.Edge_weighted wg -> resolve_partial_into inst wg
+  let pi = inst.Instance.ordering in
+  s.n_surv <-
+    (match inst.Instance.conflict with
+    | Instance.Unweighted g -> resolve_unweighted_into pi g p.mask s.t s.act s.n_act s.surv
+    | Instance.Edge_weighted _ -> resolve_partial_into pi p.wt s.t s.act s.n_act s.surv
     | Instance.Per_channel _ | Instance.Per_channel_weighted _ ->
-        invalid_arg "Rounding.plan_round: unweighted/edge-weighted instances only"
-  in
-  Array.iter
-    (fun s ->
-      draw s uniforms;
-      s.n_surv <- resolve s.t s.act s.n_act s.surv;
-      s.value <- value_of inst s.t s.surv s.n_surv)
-    p.sides;
+        invalid_arg "Rounding.plan_round_seed: unweighted/edge-weighted instances only");
+  s.value <- value_of s.tval s.surv s.n_surv
+
+(* The more valuable side (the small one on ties) is the result. *)
+let choose_side p =
   let small = p.sides.(0) and large = p.sides.(1) in
   let s = if small.value >= large.value then small else large in
   p.res_t <- s.t;
+  p.res_tval <- s.tval;
   p.res_ids <- s.surv;
   p.res_len <- s.n_surv;
   s.value
 
+let plan_round p uniforms =
+  for i = 0 to Array.length p.sides - 1 do
+    draw p.sides.(i) uniforms;
+    resolve_side p p.sides.(i)
+  done;
+  choose_side p
+
+let plan_slope p ~a =
+  if a < 0 || a >= p.levels then invalid_arg "Rounding.plan_slope: a outside [0, levels)";
+  Array.iter (fill_buckets ~levels:p.levels ~a) p.sides;
+  p.slope <- a
+
+let plan_round_seed p ~b =
+  if p.slope < 0 then invalid_arg "Rounding.plan_round_seed: no plan_slope";
+  if b < 0 || b >= p.levels then invalid_arg "Rounding.plan_round_seed: b outside [0, levels)";
+  for i = 0 to Array.length p.sides - 1 do
+    draw_bucket p.sides.(i) b;
+    resolve_side p p.sides.(i)
+  done;
+  choose_side p
+
 let plan_algorithm3 p =
-  let wg =
-    match require_conflict p.inst `Weighted "Rounding.plan_algorithm3" with
-    | `W wg -> wg
-    | `G _ | `P _ | `PW _ -> assert false
-  in
+  (match require_conflict p.inst `Weighted "Rounding.plan_algorithm3" with
+  | `W _ -> ()
+  | `G _ | `P _ | `PW _ -> assert false);
   if p.res_ids == p.sc.kept then
-    invalid_arg "Rounding.plan_algorithm3: no plan_round since the last call";
-  let value = algorithm3_into p.inst wg p.sc p.res_t p.res_ids p.res_len in
+    invalid_arg "Rounding.plan_algorithm3: no plan_round_seed since the last call";
+  let value =
+    algorithm3_into p.inst.Instance.ordering p.wt p.res_tval p.sc p.res_t p.res_ids p.res_len
+  in
   p.res_ids <- p.sc.kept;
   p.res_len <- p.sc.n_kept;
   value

@@ -126,30 +126,39 @@ val round_with_uniforms :
 
     The per-job state of repeated one-vector passes over the same LP
     solution, as the pairwise-independence derandomization ({!Derand})
-    makes them: the by-size column split and each bidder's cumulative
-    pick table are built once, and a pass costs the draw over the bidders
-    with columns plus conflict resolution over the bidders that drew a
-    non-empty bundle.  A pass gives bitwise the result of
+    makes them: the by-size column split, each bidder's cumulative pick
+    table and the value of each of its bundles, and (edge-weighted
+    instances) a flat w̄ table over the bidders with columns are built
+    once.  With [~levels:p] the plan also stores, for every bidder and
+    every level [r] in [\[0, p)], the column the inverse-CDF scan picks at
+    the uniform [r /. p].  A pass gives bitwise the result of
     {!round_with_uniforms} on the same uniforms. *)
 
 type plan
 
-val plan : Instance.t -> Lp_relaxation.fractional -> scale_down:float -> plan
+val plan :
+  ?levels:int -> Instance.t -> Lp_relaxation.fractional -> scale_down:float -> plan
+(** [levels] (default 0: no per-level picks) is the p of
+    {!plan_slope}/{!plan_round_seed}. *)
 
-val plan_bidders : plan -> int array
-(** The bidders with a column, ascending: the only uniforms a pass reads.
-    Do not mutate. *)
+val plan_slope : plan -> a:int -> unit
+(** [plan_slope p ~a] sorts the plan's per-level picks into the buckets
+    of slope [a ∈ \[0, levels)]: bucket [b] holds the bidders whose level
+    under seed [(a, b)], [(a·v + b) mod levels], picks a non-empty
+    bundle, ascending.  O(levels + picks). *)
 
-val plan_round : plan -> float array -> float
-(** [plan_round p uniforms] runs one pass of {!round_with_uniforms}
-    ([Unweighted] and [Edge_weighted] instances only), reading
-    [uniforms.(v)] for the {!plan_bidders} [v] only, and returns the
-    welfare of its result. *)
+val plan_round_seed : plan -> b:int -> float
+(** [plan_round_seed p ~b] runs one pass of {!round_with_uniforms}
+    ([Unweighted] and [Edge_weighted] instances only) at seed [(a, b)],
+    [a] from the last {!plan_slope}: bidder [v]'s uniform is
+    [float_of_int ((a·v + b) mod levels) /. float_of_int levels].  It
+    returns the welfare of its result and costs the resolution over the
+    bidders of bucket [b] only. *)
 
 val plan_algorithm3 : plan -> float
-(** {!algorithm3} on the result of the last {!plan_round}
-    ([Edge_weighted] only, once per {!plan_round}); returns the welfare of
-    its output, which becomes the plan's result. *)
+(** {!algorithm3} on the result of the last {!plan_round_seed}
+    ([Edge_weighted] only, once per pass); returns the welfare of its
+    output, which becomes the plan's result. *)
 
 val plan_result : plan -> Allocation.t
 (** A fresh copy of the last stage's result. *)

@@ -214,7 +214,7 @@ let counter_descriptions =
       "Pooled columns accepted into a restricted master after re-verification" );
     ("core.rounding.trials", "Randomized rounding trials evaluated");
     ("core.rounding.improvements", "Rounding trials that improved the incumbent");
-    ("core.derand.candidates", "Conditional-expectation candidates scored");
+    ("core.derand.candidates", "Pairwise-independent seeds (a, b) evaluated by derandomization");
     ("graph.rho.estimates", "Inductive-independence rho estimations");
     ( "graph.rho.searches",
       "Vertices whose backward branch and bound ran during rho estimation" );
@@ -273,6 +273,8 @@ let histogram_descriptions =
       "Wall time of a workload batch's LP shape fingerprint" );
     ("engine.job.lp.seconds", "Wall time of the LP phase per job");
     ("engine.job.round.seconds", "Wall time of the rounding phase per attempt (core.round spans)");
+    ( "core.derand.seconds",
+      "Wall time of derandomized roundings (core.derand spans, inside core.round)" );
     ("engine.job.seconds", "End-to-end wall time per engine job");
     ( "engine.attempt.seconds",
       "Wall time per job attempt across the retry/fallback chain" );

@@ -17,9 +17,11 @@
 #   on, serves the demo, the column pool workload and the fault-injection
 #   workload byte-identically at --domains 1 and 4;
 # - served-benchmark smoke: one traced perfbench run each of geo-repeat,
-#   colgen-mix and sinr-fresh at seed 1 must report "correct": true and
-#   print its pinned results_md5 and lp.pivots (geo-repeat also its
-#   lp.refactorizations, the derand workloads their derand.candidates);
+#   colgen-mix and sinr-fresh at seed 1, and of colgen-mix and sinr-fresh
+#   at seed 7, must report "correct": true and print its pinned
+#   results_md5 and lp.pivots (geo-repeat and sinr-fresh seed 7 also
+#   their lp.refactorizations, the derand workloads their
+#   derand.candidates);
 # - telemetry smoke: the serve --metrics-out snapshot parses, hot-path
 #   counters are nonzero and counter totals match across --domains 1/4;
 # - observability smoke: same-seed --events-out logs byte-identical across
@@ -139,16 +141,17 @@ warm_smoke resilience --workload "$rwl" --fault-rate 0.3 --fault-seed 7
 echo "   warm cache: demo, columns and resilience results byte-identical across domains"
 
 echo "== served benchmark smoke (perfbench geo-repeat + colgen-mix + sinr-fresh, traced, correctness gates, pinned bits)"
-# Each smoke must pass perfbench's own gates and reproduce the pinned
-# served output: results_md5 and the simplex pivot count (and, on
-# geo-repeat, the refactorization count; on the derand workloads, the
-# derandomization candidate count, 12 derand jobs x 101^2).  LP engine
+# Each smoke (workload, seed) must pass perfbench's own gates and
+# reproduce the pinned served output: results_md5 and the simplex pivot
+# count (and, where pinned, the refactorization count; on the derand
+# workloads, the derandomization candidate count, 12 derand jobs x
+# 101^2).  Seed 7 checks that a pin is not a property of one seed.  LP engine
 # and rounding changes that are meant to be bitwise-neutral keep these;
 # any other change that moves them must re-pin them here and say why.
 perfbench_smoke() {
-  wl="$1"; md5="$2"; pivots="$3"; refac="$4"; cands="$5"
-  pbout="$tmpdir/perfbench-$wl.txt"
-  dune exec ./perfbench/main.exe -- --workload "$wl" --seed 1 --seconds 0.1 \
+  wl="$1"; seed="$2"; md5="$3"; pivots="$4"; refac="$5"; cands="$6"
+  pbout="$tmpdir/perfbench-$wl-$seed.txt"
+  dune exec ./perfbench/main.exe -- --workload "$wl" --seed "$seed" --seconds 0.1 \
     --trace 1 > "$pbout" \
     || { tail -n 5 "$pbout" >&2; echo "check: perfbench $wl failed its gates" >&2; exit 1; }
   tail -n 1 "$pbout" | grep -q '"correct": true' \
@@ -165,11 +168,13 @@ perfbench_smoke() {
     grep -Eq "^ +derand\.candidates +$cands\.0+ count\$" "$pbout" \
       || { echo "check: perfbench $wl $(grep -E '^ +derand\.candidates ' "$pbout" | tr -s ' '), want $cands" >&2; exit 1; }
   fi
-  echo "   perfbench: $wl seed 1 correct (results_md5 $md5, $pivots pivots${refac:+, $refac refactorizations}${cands:+, $cands derand candidates})"
+  echo "   perfbench: $wl seed $seed correct (results_md5 $md5, $pivots pivots${refac:+, $refac refactorizations}${cands:+, $cands derand candidates})"
 }
-perfbench_smoke geo-repeat 59b5e8e8643b4acfdf82eaccd770415d 8454 48 ""
-perfbench_smoke colgen-mix db6cc8b779a9dc7526ef2fe65fb9169c 9524 "" 122412
-perfbench_smoke sinr-fresh 5bdc332bcf3bbd9347c2108b883a45cc 2006 "" 122412
+perfbench_smoke geo-repeat 1 59b5e8e8643b4acfdf82eaccd770415d 8454 48 ""
+perfbench_smoke colgen-mix 1 db6cc8b779a9dc7526ef2fe65fb9169c 9524 "" 122412
+perfbench_smoke sinr-fresh 1 5bdc332bcf3bbd9347c2108b883a45cc 2006 "" 122412
+perfbench_smoke colgen-mix 7 e1ede71d5d2d24c032631530ad10beaa 9860 "" 122412
+perfbench_smoke sinr-fresh 7 859d4aeda72a133281519557fd2664ac 1984 36 122412
 
 echo "== telemetry smoke (serve --demo --metrics-out)"
 snap="$tmpdir/metrics.json"

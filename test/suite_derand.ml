@@ -63,12 +63,9 @@ let bidder g ~k = function
       Valuation.Symmetric (Array.init (k + 1) (fun m -> if m = 0 then -0.0 else float_of_int m))
   | l -> invalid_arg l
 
-(* One instance per seed: topology and language from the seed, n <= 30. *)
-let random_instance seed =
-  let g = Prng.create ~seed in
-  let n = 2 + Prng.int g 29 and k = 1 + Prng.int g 4 in
-  let topo = topologies.(seed mod Array.length topologies) in
-  let lang = languages.(seed / Array.length topologies mod Array.length languages) in
+(* An instance of [topo] with [n] bidders bidding in [lang]; [g] draws
+   the random graphs and the bids. *)
+let instance_of g ~seed ~topo ~lang ~n ~k =
   let conflict, ordering, rho =
     match topo with
     | "disk" ->
@@ -90,6 +87,14 @@ let random_instance seed =
   let bidders = Array.init n (fun _ -> bidder g ~k lang) in
   let inst = Instance.make ~conflict ~k ~bidders ~ordering ~rho in
   (Printf.sprintf "%s/%s n=%d k=%d seed %d" topo lang n k seed, inst)
+
+(* One instance per seed: topology and language from the seed, n <= 30. *)
+let random_instance seed =
+  let g = Prng.create ~seed in
+  let n = 2 + Prng.int g 29 and k = 1 + Prng.int g 4 in
+  let topo = topologies.(seed mod Array.length topologies) in
+  let lang = languages.(seed / Array.length topologies mod Array.length languages) in
+  instance_of g ~seed ~topo ~lang ~n ~k
 
 let is_weighted inst =
   match inst.Instance.conflict with Instance.Edge_weighted _ -> true | _ -> false
@@ -202,7 +207,60 @@ let prop_resolution_on_dense_allocations =
       end;
       true)
 
+(* Each candidate of the bucketed enumeration, not only the best: seed
+   (a, b) of a plan built with [~levels:p] is the pass at the uniforms
+   h_{a,b}(v) = ((a·v + b) mod p)/p.  Slopes are revisited out of order,
+   so a stale bucket would show. *)
+let prop_plan_seed_matches_reference =
+  QCheck.Test.make ~count:60 ~name:"plan_round_seed = reference pass at h_{a,b}, bitwise" seeds
+    (fun seed ->
+      let what, inst = random_instance seed in
+      let frac = Lp.solve_explicit inst in
+      let g = Prng.create ~seed:(seed + 3) in
+      let n = Instance.n inst and p = Derand.prime in
+      let scale_down = Float.max 0.5 (Prng.float g 4.0) in
+      let plan = Rounding.plan ~levels:p inst frac ~scale_down in
+      let uniforms = Array.make n 0.0 in
+      for _ = 1 to 4 do
+        let a = Prng.int g p in
+        Rounding.plan_slope plan ~a;
+        for _ = 1 to 5 do
+          let b = Prng.int g p in
+          let value = Rounding.plan_round_seed plan ~b in
+          let got = Rounding.plan_result plan in
+          for v = 0 to n - 1 do
+            uniforms.(v) <- float_of_int (Derand.hash ~a ~b v) /. float_of_int p
+          done;
+          let stage = Printf.sprintf "seed (%d, %d)" a b in
+          check_same what ~stage inst got
+            (Reference.round_with_uniforms inst frac ~scale_down ~uniforms);
+          if Int64.bits_of_float value <> bits inst got then
+            fail "%s: %s: returned value bits differ from the result's" what stage
+        done
+      done;
+      true)
+
 (* ---------- fixed cases ------------------------------------------------- *)
+
+(* Above p = 101, bidders v and v + 101 draw the same level under every
+   seed, so they land in the same bucket: the enumeration must still
+   equal the reference there, on weighted (SINR) and unweighted (disk)
+   conflicts.  The derand jobs of the sinr-fresh benchmark run at
+   n = 80-110. *)
+let test_derand_above_prime () =
+  List.iter
+    (fun (topo, n, seed) ->
+      let g = Prng.create ~seed in
+      let what, inst = instance_of g ~seed ~topo ~lang:"xor" ~n ~k:3 in
+      let frac = Lp.solve_explicit inst in
+      let with_columns = Array.map (fun cols -> cols <> []) (Lp.by_bidder frac ~n) in
+      let shared = ref false in
+      for v = 0 to n - 1 - Derand.prime do
+        if with_columns.(v) && with_columns.(v + Derand.prime) then shared := true
+      done;
+      Alcotest.(check bool) (what ^ ": some v and v + 101 both have columns") true !shared;
+      check_same what ~stage:"derand" inst (derand inst frac) (reference inst frac))
+    [ ("sinr", 102, 21); ("sinr", 117, 22); ("disk", 110, 23); ("disk", 130, 24) ]
 
 (* Every bidder values everything at zero: the LP has no columns, no
    candidate beats the empty allocation, and both return it. *)
@@ -312,6 +370,47 @@ let test_pick_and_side_ties () =
   check_alloc "side tie = reference" inst got
     (Reference.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms)
 
+(* The per-level pick uses the same comparison as the uniforms scan: the
+   column whose running sum is exactly 25/101 (x = 25/101, scale_down
+   1) is picked at level 24 and passed over at level 25, whose uniform
+   is that same float. *)
+let test_level_pick_boundary () =
+  let p = Derand.prime in
+  let x = 25. /. 101. in
+  let inst =
+    Instance.make ~conflict:(Instance.Unweighted (Sa_graph.Graph.create 2)) ~k:2
+      ~bidders:(Array.make 2 (Valuation.Additive [| 1.0; 2.0 |]))
+      ~ordering:(Ordering.identity 2) ~rho:1.0
+  in
+  (* bidder 0's columns come out of [Lp.by_bidder] as {0} then {1} *)
+  let frac = fractional [ column 0 [ 1 ] 0.5; column 0 [ 0 ] x; column 1 [ 1 ] 0.125 ] in
+  let plan = Rounding.plan ~levels:p inst frac ~scale_down:1.0 in
+  (* slope 0: every bidder draws level b *)
+  Rounding.plan_slope plan ~a:0;
+  List.iter
+    (fun (level, want) ->
+      ignore (Rounding.plan_round_seed plan ~b:level);
+      let got = Rounding.plan_result plan in
+      let what = Printf.sprintf "level %d" level in
+      check_alloc what inst got want;
+      let uniforms = Array.make 2 (float_of_int level /. float_of_int p) in
+      check_alloc (what ^ " = reference") inst got
+        (Reference.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms);
+      check_alloc (what ^ " = round_with_uniforms") inst got
+        (Rounding.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms))
+    [
+      (24, [| Bundle.singleton 0; Bundle.empty |]);
+      (25, [| Bundle.singleton 1; Bundle.empty |]);
+      (12, [| Bundle.singleton 0; Bundle.singleton 1 |]);
+    ];
+  let outside = Invalid_argument "Rounding.plan_slope: a outside [0, levels)" in
+  Alcotest.check_raises "slope p" outside (fun () -> Rounding.plan_slope plan ~a:p);
+  Alcotest.check_raises "plan without levels" outside (fun () ->
+      Rounding.plan_slope (Rounding.plan inst frac ~scale_down:1.0) ~a:0);
+  Alcotest.check_raises "seed before any slope"
+    (Invalid_argument "Rounding.plan_round_seed: no plan_slope") (fun () ->
+      ignore (Rounding.plan_round_seed (Rounding.plan ~levels:p inst frac ~scale_down:1.0) ~b:0))
+
 let candidates () = Metrics.counter_value (Metrics.counter "core.derand.candidates")
 
 let test_candidates_per_call () =
@@ -392,4 +491,9 @@ let suite =
       test_pairwise_bijection;
     Alcotest.test_case "validated valuations value the empty bundle at ±0" `Quick
       test_empty_bundle_is_zero;
+    q prop_plan_seed_matches_reference;
+    Alcotest.test_case "derand = reference at n in [102, 130]" `Quick
+      test_derand_above_prime;
+    Alcotest.test_case "level pick at a running sum of exactly 25/101" `Quick
+      test_level_pick_boundary;
   ]

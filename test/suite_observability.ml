@@ -320,6 +320,26 @@ let test_engine_spans_have_attrs () =
       Alcotest.(check bool) "lp span has pivots attr" true
         (List.mem_assoc "pivots" sp.Trace.attrs)
 
+(* A derand job records one core.derand span inside its core.round span. *)
+let test_derand_span_inside_round () =
+  with_trace_capacity 4096 @@ fun () ->
+  let inst = Workloads.protocol_instance ~seed:3 ~n:10 ~k:2 () in
+  let jobs = [ Engine.job ~algorithm:Engine.Derand_seq ~seed:5 ~id:0 inst ] in
+  ignore (Engine.run_batch (Engine.create ~warm_start:false ()) jobs);
+  let spans = Trace.recent () in
+  let by_name name = List.filter (fun sp -> sp.Trace.name = name) spans in
+  match (by_name "core.derand", by_name "core.round") with
+  | [ derand ], [ round ] ->
+      Alcotest.(check (option int)) "derand span under the round span"
+        (Some round.Trace.id) derand.Trace.parent;
+      Alcotest.(check bool) "derand inside the round interval" true
+        (derand.Trace.start_s >= round.Trace.start_s
+        && derand.Trace.start_s +. derand.Trace.dur_s
+           <= round.Trace.start_s +. round.Trace.dur_s)
+  | derands, rounds ->
+      Alcotest.failf "%d core.derand spans for %d core.round spans" (List.length derands)
+        (List.length rounds)
+
 (* ---------- workload set-up spans ----------------------------------------- *)
 
 let test_workload_setup_spans () =
@@ -422,4 +442,6 @@ let suite =
       test_workload_setup_spans;
     Alcotest.test_case "http scrape serves every well-known metric" `Quick
       test_http_scrape_metrics;
+    Alcotest.test_case "derand span nests inside the round span" `Quick
+      test_derand_span_inside_round;
   ]
