@@ -36,9 +36,10 @@
     bucket [b], and the candidate costs O(active²): the conflict
     resolution over them, plus the welfare of the survivors.  Only a
     candidate that beats the best so far copies its allocation out, and
-    [p²] = 10 201 candidates are scored per call.  The result is bitwise
-    that of running {!Rounding.round_with_uniforms} per seed and keeping
-    the best, earliest on ties.
+    [p²] = 10 201 candidates are scored per call.  The result is the best
+    candidate, the earliest on ties, bitwise that of a full rounding pass
+    per seed at the uniforms [h_{a,b}(v)] (the per-candidate reference in
+    [test/derand_reference.ml]).
 
     Telemetry: each call is one [core.derand] span (inside [core.round]
     when the engine serves it) and adds [p²] to

@@ -11,37 +11,16 @@ module Tel = Sa_telemetry.Metrics
 let m_trials = Tel.counter "core.rounding.trials"
 let m_improvements = Tel.counter "core.rounding.improvements"
 
-(* The rounding trial loops borrow the domain's LP scratch arena for their
-   per-bidder weight buffers, active/survivor lists, w̄ tables and bidder
-   values (slots 24-31 are reserved for this module; see
-   [Sa_lp.Workspace]).  Trials never run concurrently with a simplex
-   solve on the same domain, and the slots are disjoint from the solver's
-   in any case. *)
+(* The public [algorithm3] and [is_partly_feasible] borrow the domain's LP
+   scratch arena for their active lists, w̄ tables and bidder values
+   (slots 24-31 are reserved for this module; see [Sa_lp.Workspace]).
+   They never run concurrently with a simplex solve on the same domain,
+   and the slots are disjoint from the solver's in any case. *)
 module Ws = Sa_lp.Workspace
 
-let slot_weights = 24
 let slot_active = 25
-let slot_survivors = 26
 let slot_table = 27
 let slot_values = 28
-
-(* Rounding stage shared by all variants: every bidder independently picks
-   bundle T with probability x_{v,T} / scale_down, and the empty bundle with
-   the remaining probability. *)
-let tentative g ~scale_down per_bidder =
-  let ws = Ws.get () in
-  Array.map
-    (fun cols ->
-      let total = List.fold_left (fun acc (_, x) -> acc +. x) 0.0 cols in
-      let p_any = total /. scale_down in
-      if p_any > 0.0 && Prng.bernoulli g p_any then begin
-        let len = List.length cols in
-        let weights = Ws.floats ws ~slot:slot_weights len in
-        List.iteri (fun i (_, x) -> weights.(i) <- x) cols;
-        fst (List.nth cols (Prng.categorical ~len g weights))
-      end
-      else Bundle.empty)
-    per_bidder
 
 let split_by_size per_bidder ~threshold =
   let small =
@@ -137,7 +116,6 @@ let active_of alloc =
   done;
   (ids, !len)
 
-let survivors_buffer n_act = Ws.ints (Ws.get ()) ~slot:slot_survivors n_act
 
 (* The w̄ table over [ids.(0 .. len-1)], in the arena's table slots. *)
 let wtable_of wg ids len =
@@ -309,32 +287,339 @@ let algorithm3_into pi wt tval sc t ids len =
   !best_value
 
 (* ------------------------------------------------------------------ *)
+(* Rounding plans: the per-job state of repeated rounding passes over  *)
+(* one LP solution.  Bidder v picks bundle T with probability          *)
+(* x_{v,T} / scale_down and the empty bundle with the remaining        *)
+(* probability, by a PRNG draw (the randomized tiers) or by an         *)
+(* inverse-CDF scan at an explicit level (the derandomization).        *)
+(*                                                                     *)
+(* Everything that does not depend on the draw is built once per plan: *)
+(* the by-size column split, each bidder's bundles, their values and   *)
+(* LP values x in [Lp_relaxation.by_bidder] order, the left-to-right   *)
+(* total of those x, the w̄ table over the bidders with columns, and   *)
+(* the buffers the passes reuse.  A randomized trial passes its scale  *)
+(* per draw, so one plan serves every trial of a call at every scale.  *)
+(*                                                                     *)
+(* With [~levels:p], the plan also records the draws that land at each *)
+(* level: bidder v's pick at u = r/p for every r in [0, p), by an      *)
+(* inverse-CDF scan of its running sums [acc +. x /. scale_down].     *)
+(* Seed (a, b) gives v the level (a·v + b) mod p, so                   *)
+(* [plan_slope ~a] counting-sorts every non-empty pick into its bucket *)
+(* b = (r − a·v) mod p, bidders ascending, and the active bidders of   *)
+(* seed (a, b) are bucket b: a pass costs the resolution over them.    *)
+
+type side = {
+  bidders : int array;  (** bidders with columns on this side, ascending *)
+  bundles : Bundle.t array array;  (** [bidders.(i)]'s column bundles *)
+  values : float array array;  (** their values to [bidders.(i)] *)
+  xs : float array array;  (** their LP values x *)
+  totals : float array;  (** [Σ xs.(i)], summed left to right *)
+  (* the non-empty picks at every level, ascending in bidder then level:
+     bidder [hit_v.(h)] draws [hit_bundle.(h)], worth [hit_value.(h)], at
+     level [hit_level.(h)] *)
+  hit_v : int array;
+  hit_level : int array;
+  hit_bundle : Bundle.t array;
+  hit_value : float array;
+  hit_bucket : int array;  (** each hit's bucket under the current slope *)
+  start : int array;
+      (** bucket b holds the hits [by_bucket.(start.(b) .. start.(b+1) - 1)] *)
+  cursor : int array;
+  by_bucket : int array;
+  t : Bundle.t array;  (** tentative bundles; read for the active bidders only *)
+  tval : float array;  (** their values *)
+  act : int array;  (** active bidders of the last draw, ascending *)
+  mutable n_act : int;
+  surv : int array;  (** survivors of the last resolution, ascending *)
+  mutable n_surv : int;
+  mutable value : float;  (** their welfare *)
+}
+
+type plan = {
+  inst : Instance.t;
+  sides : side array;
+      (** small then large bundles ([Unweighted], [Edge_weighted]), or all
+          columns (per-channel instances) *)
+  levels : int;  (** p, or 0 without per-level picks *)
+  mutable slope : int;  (** a of the current buckets, or -1 *)
+  mask : int array;  (** Algorithm 1's active-bidder mask, clear between passes *)
+  wt : wtable;  (** w̄ over the bidders with columns ([Edge_weighted] only) *)
+  sc : scratch;
+  (* the last stage's result: [res_t.(v)], worth [res_tval.(v)], for the
+     bidders in [res_ids.(0 .. res_len-1)], nothing for the others *)
+  mutable res_t : Bundle.t array;
+  mutable res_tval : float array;
+  mutable res_ids : int array;
+  mutable res_len : int;
+}
+
+let with_columns ~n per_bidder =
+  Array.of_list (List.filter (fun v -> per_bidder.(v) <> []) (List.init n Fun.id))
+
+(* Inverse-CDF pick: the first column whose running sum exceeds [u], or
+   [Array.length cum] for none. *)
+let pick cum u =
+  let j = ref 0 in
+  while !j < Array.length cum && not (u < cum.(!j)) do
+    incr j
+  done;
+  !j
+
+(* [scale_down] enters the per-level picks only. *)
+let side_of inst ~n ~scale_down ~levels per_bidder =
+  let bidders = with_columns ~n per_bidder in
+  let cols = Array.map (fun v -> Array.of_list per_bidder.(v)) bidders in
+  let bundles = Array.map (Array.map fst) cols in
+  let xs = Array.map (Array.map snd) cols in
+  let totals = Array.map (Array.fold_left ( +. ) 0.0) xs in
+  let cum =
+    if levels = 0 then [||]
+    else
+      Array.map
+        (fun x ->
+          let acc = ref 0.0 in
+          Array.map
+            (fun x ->
+              acc := !acc +. (x /. scale_down);
+              !acc)
+            x)
+        xs
+  in
+  let values =
+    Array.mapi
+      (fun i bs ->
+        Array.map (Valuation.value inst.Instance.bidders.(bidders.(i))) bs)
+      bundles
+  in
+  (* [f i r j] for every non-empty pick [j] of bidder [bidders.(i)] at
+     level [r], ascending in [i] then [r] *)
+  let iter_hits f =
+    for i = 0 to Array.length bidders - 1 do
+      for r = 0 to levels - 1 do
+        let j = pick cum.(i) (float_of_int r /. float_of_int levels) in
+        if j < Array.length cum.(i) && not (Bundle.is_empty bundles.(i).(j)) then f i r j
+      done
+    done
+  in
+  let n_hits = ref 0 in
+  iter_hits (fun _ _ _ -> incr n_hits);
+  let hit_v = Array.make !n_hits 0
+  and hit_level = Array.make !n_hits 0
+  and hit_bundle = Array.make !n_hits Bundle.empty
+  and hit_value = Array.make !n_hits 0.0 in
+  let h = ref 0 in
+  iter_hits (fun i r j ->
+      hit_v.(!h) <- bidders.(i);
+      hit_level.(!h) <- r;
+      hit_bundle.(!h) <- bundles.(i).(j);
+      hit_value.(!h) <- values.(i).(j);
+      incr h);
+  let m = Array.length bidders in
+  {
+    bidders;
+    bundles;
+    values;
+    xs;
+    totals;
+    hit_v;
+    hit_level;
+    hit_bundle;
+    hit_value;
+    hit_bucket = Array.make !n_hits 0;
+    start = Array.make (levels + 1) 0;
+    cursor = Array.make levels 0;
+    by_bucket = Array.make !n_hits 0;
+    t = Array.make n Bundle.empty;
+    tval = Array.make n 0.0;
+    act = Array.make m 0;
+    n_act = 0;
+    surv = Array.make m 0;
+    n_surv = 0;
+    value = 0.0;
+  }
+
+let plan ?(levels = 0) inst frac ~scale_down =
+  if levels < 0 then invalid_arg "Rounding.plan: negative levels";
+  let n = Instance.n inst in
+  let per_bidder = Lp_relaxation.by_bidder frac ~n in
+  let side = side_of inst ~n ~scale_down ~levels in
+  let sides =
+    match inst.Instance.conflict with
+    | Instance.Unweighted _ | Instance.Edge_weighted _ ->
+        let k = float_of_int inst.Instance.k in
+        let small, large = split_by_size per_bidder ~threshold:(sqrt k) in
+        [| side small; side large |]
+    | Instance.Per_channel _ | Instance.Per_channel_weighted _ -> [| side per_bidder |]
+  in
+  let wt =
+    match inst.Instance.conflict with
+    | Instance.Edge_weighted wg ->
+        let bidders = with_columns ~n per_bidder in
+        let m = Array.length bidders in
+        fill_wtable wg ~at:(Array.make n 0) ~w:(Array.create_float (m * m)) bidders m
+    | Instance.Unweighted _ | Instance.Per_channel _ | Instance.Per_channel_weighted _ ->
+        { at = [||]; size = 0; w = [||] }
+  in
+  {
+    inst;
+    sides;
+    levels;
+    slope = -1;
+    mask = Bitset.create n;
+    wt;
+    sc = scratch n;
+    res_t = sides.(0).t;
+    res_tval = sides.(0).tval;
+    res_ids = sides.(0).surv;
+    res_len = 0;
+  }
+
+(* The randomized draw of [s] at [scale_down], bidders ascending: bidder
+   i draws at all with probability [p_any = totals.(i) /. scale_down]
+   ([Prng.bernoulli] draws nothing at p_any >= 1, and nothing is drawn at
+   p_any <= 0), then picks column j with probability [xs.(i).(j)] over
+   their total ([Prng.categorical] sums the same x in the same order).
+   A picked empty bundle leaves the bidder inactive. *)
+let draw g s ~scale_down =
+  s.n_act <- 0;
+  for i = 0 to Array.length s.bidders - 1 do
+    let p_any = s.totals.(i) /. scale_down in
+    if p_any > 0.0 && Prng.bernoulli g p_any then begin
+      let j = Prng.categorical g s.xs.(i) in
+      let bundle = s.bundles.(i).(j) in
+      if not (Bundle.is_empty bundle) then begin
+        let v = s.bidders.(i) in
+        s.t.(v) <- bundle;
+        s.tval.(v) <- s.values.(i).(j);
+        s.act.(s.n_act) <- v;
+        s.n_act <- s.n_act + 1
+      end
+    end
+  done
+
+(* Counting sort of the hits into the buckets of slope [a], stable, so
+   each bucket lists its bidders ascending (a bidder has one level per
+   seed, so at most one hit per bucket). *)
+let fill_buckets ~levels ~a s =
+  let start = s.start in
+  Array.fill start 0 (levels + 1) 0;
+  for h = 0 to Array.length s.hit_v - 1 do
+    let b = s.hit_level.(h) - ((a * s.hit_v.(h)) mod levels) in
+    let b = if b < 0 then b + levels else b in
+    s.hit_bucket.(h) <- b;
+    start.(b + 1) <- start.(b + 1) + 1
+  done;
+  for b = 1 to levels do
+    start.(b) <- start.(b) + start.(b - 1)
+  done;
+  Array.blit start 0 s.cursor 0 levels;
+  for h = 0 to Array.length s.hit_v - 1 do
+    let b = s.hit_bucket.(h) in
+    s.by_bucket.(s.cursor.(b)) <- h;
+    s.cursor.(b) <- s.cursor.(b) + 1
+  done
+
+(* The active bidders of seed (slope, b): bucket b. *)
+let draw_bucket s b =
+  let lo = s.start.(b) in
+  let n_act = s.start.(b + 1) - lo in
+  for e = 0 to n_act - 1 do
+    let h = s.by_bucket.(lo + e) in
+    let v = s.hit_v.(h) in
+    s.t.(v) <- s.hit_bundle.(h);
+    s.tval.(v) <- s.hit_value.(h);
+    s.act.(e) <- v
+  done;
+  s.n_act <- n_act
+
+(* The resolution stage of the conflict structure on the last draw of
+   [s], and the welfare of its survivors. *)
+let resolve_side p s =
+  let inst = p.inst in
+  let pi = inst.Instance.ordering in
+  s.n_surv <-
+    (match inst.Instance.conflict with
+    | Instance.Unweighted g -> resolve_unweighted_into pi g p.mask s.t s.act s.n_act s.surv
+    | Instance.Edge_weighted _ -> resolve_partial_into pi p.wt s.t s.act s.n_act s.surv
+    | Instance.Per_channel _ | Instance.Per_channel_weighted _ ->
+        invalid_arg "Rounding.plan_round_seed: unweighted/edge-weighted instances only");
+  s.value <- value_of s.tval s.surv s.n_surv
+
+(* The more valuable side (the small one on ties) is the result. *)
+let choose_side p =
+  let small = p.sides.(0) and large = p.sides.(1) in
+  let s = if small.value >= large.value then small else large in
+  p.res_t <- s.t;
+  p.res_tval <- s.tval;
+  p.res_ids <- s.surv;
+  p.res_len <- s.n_surv;
+  s.value
+
+(* One randomized pass of Algorithm 1 or 2 at [scale_down]: the large
+   side draws first, then the small one (that order fixes which PRNG
+   draws each side gets), each is resolved, and the more valuable side is
+   the result.  Returns its welfare. *)
+let round_trial g p ~scale_down =
+  for i = Array.length p.sides - 1 downto 0 do
+    draw g p.sides.(i) ~scale_down;
+    resolve_side p p.sides.(i)
+  done;
+  choose_side p
+
+let plan_slope p ~a =
+  if a < 0 || a >= p.levels then invalid_arg "Rounding.plan_slope: a outside [0, levels)";
+  Array.iter (fill_buckets ~levels:p.levels ~a) p.sides;
+  p.slope <- a
+
+let plan_round_seed p ~b =
+  if p.slope < 0 then invalid_arg "Rounding.plan_round_seed: no plan_slope";
+  if b < 0 || b >= p.levels then invalid_arg "Rounding.plan_round_seed: b outside [0, levels)";
+  for i = 0 to Array.length p.sides - 1 do
+    draw_bucket p.sides.(i) b;
+    resolve_side p p.sides.(i)
+  done;
+  choose_side p
+
+let plan_algorithm3 p =
+  (match require_conflict p.inst `Weighted "Rounding.plan_algorithm3" with
+  | `W _ -> ()
+  | `G _ | `P _ | `PW _ -> assert false);
+  if p.res_ids == p.sc.kept then
+    invalid_arg "Rounding.plan_algorithm3: no plan_round_seed since the last call";
+  let value =
+    algorithm3_into p.inst.Instance.ordering p.wt p.res_tval p.sc p.res_t p.res_ids p.res_len
+  in
+  p.res_ids <- p.sc.kept;
+  p.res_len <- p.sc.n_kept;
+  value
+
+let plan_result p = materialize (Instance.n p.inst) p.res_t p.res_ids p.res_len
+
+(* A plan for randomized trials only: they pass their scale per draw, and
+   without levels the plan's own scale is never read. *)
+let trial_plan inst frac = plan inst frac ~scale_down:1.0
+
+(* The per-channel tiers' tentative allocation: a draw of the plan's one
+   side. *)
+let draw_tentative g p ~scale_down =
+  let s = p.sides.(0) in
+  draw g s ~scale_down;
+  materialize (Instance.n p.inst) s.t s.act s.n_act
+
+(* Algorithm 1's or 2's output: one randomized pass on a fresh plan. *)
+let round_once g_rng inst frac ~scale_down =
+  let p = trial_plan inst frac in
+  ignore (round_trial g_rng p ~scale_down);
+  plan_result p
+
+(* ------------------------------------------------------------------ *)
 (* Algorithm 1: unweighted conflict graphs.                            *)
 
-let resolve_unweighted inst g tentative_alloc =
-  let n = Instance.n inst in
-  let act, n_act = active_of tentative_alloc in
-  let surv = survivors_buffer n_act in
-  let n_surv =
-    resolve_unweighted_into inst.Instance.ordering g (Graph.mask_create g) tentative_alloc
-      act n_act surv
-  in
-  materialize n tentative_alloc surv n_surv
-
 let algorithm1_scaled g_rng inst frac ~scale_down =
-  let graph = match require_conflict inst `Unweighted "Rounding.algorithm1" with
-    | `G g -> g
-    | `W _ | `P _ | `PW _ -> assert false
-  in
-  let n = Instance.n inst in
-  let k = float_of_int inst.Instance.k in
-  let per_bidder = Lp_relaxation.by_bidder frac ~n in
-  let small, large = split_by_size per_bidder ~threshold:(sqrt k) in
-  let run cols =
-    let t = tentative g_rng ~scale_down cols in
-    resolve_unweighted inst graph t
-  in
-  better inst (run small) (run large)
+  (match require_conflict inst `Unweighted "Rounding.algorithm1" with
+  | `G _ -> ()
+  | `W _ | `P _ | `PW _ -> assert false);
+  round_once g_rng inst frac ~scale_down
 
 let algorithm1 g_rng inst frac =
   let k = float_of_int inst.Instance.k in
@@ -343,30 +628,11 @@ let algorithm1 g_rng inst frac =
 (* ------------------------------------------------------------------ *)
 (* Algorithm 2: edge-weighted graphs, partly feasible output.          *)
 
-let resolve_partial inst wg tentative_alloc =
-  let n = Instance.n inst in
-  let act, n_act = active_of tentative_alloc in
-  let wt = wtable_of wg act n_act in
-  let surv = survivors_buffer n_act in
-  let n_surv =
-    resolve_partial_into inst.Instance.ordering wt tentative_alloc act n_act surv
-  in
-  materialize n tentative_alloc surv n_surv
-
 let algorithm2_scaled g_rng inst frac ~scale_down =
-  let wg = match require_conflict inst `Weighted "Rounding.algorithm2" with
-    | `W wg -> wg
-    | `G _ | `P _ | `PW _ -> assert false
-  in
-  let n = Instance.n inst in
-  let k = float_of_int inst.Instance.k in
-  let per_bidder = Lp_relaxation.by_bidder frac ~n in
-  let small, large = split_by_size per_bidder ~threshold:(sqrt k) in
-  let run cols =
-    let t = tentative g_rng ~scale_down cols in
-    resolve_partial inst wg t
-  in
-  better inst (run small) (run large)
+  (match require_conflict inst `Weighted "Rounding.algorithm2" with
+  | `W _ -> ()
+  | `G _ | `P _ | `PW _ -> assert false);
+  round_once g_rng inst frac ~scale_down
 
 let algorithm2 g_rng inst frac =
   let k = float_of_int inst.Instance.k in
@@ -438,10 +704,7 @@ let algorithm_asymmetric_scaled g_rng inst frac ~scale_down =
     | `P gs -> gs
     | `G _ | `W _ | `PW _ -> assert false
   in
-  let n = Instance.n inst in
-  let per_bidder = Lp_relaxation.by_bidder frac ~n in
-  let t = tentative g_rng ~scale_down per_bidder in
-  resolve_asymmetric inst graphs t
+  resolve_asymmetric inst graphs (draw_tentative g_rng (trial_plan inst frac) ~scale_down)
 
 let algorithm_asymmetric g_rng inst frac =
   let k = float_of_int inst.Instance.k in
@@ -486,10 +749,7 @@ let algorithm_asymmetric_weighted_scaled g_rng inst frac ~scale_down =
     | `PW wgs -> wgs
     | `G _ | `W _ | `P _ -> assert false
   in
-  let n = Instance.n inst in
-  let per_bidder = Lp_relaxation.by_bidder frac ~n in
-  let t = tentative g_rng ~scale_down per_bidder in
-  resolve_partial_asymmetric inst wgs t
+  resolve_partial_asymmetric inst wgs (draw_tentative g_rng (trial_plan inst frac) ~scale_down)
 
 let algorithm_asymmetric_weighted g_rng inst frac =
   let k = float_of_int inst.Instance.k in
@@ -542,359 +802,88 @@ let algorithm3_asymmetric inst alloc =
   !best
 
 (* ------------------------------------------------------------------ *)
+(* Best-of-trials over one plan.                                       *)
+
+(* The tier [solve] runs on [inst]'s conflict structure, over one plan:
+   its canonical scale, [trial g ~scale_down], which makes one feasible
+   pass and returns its welfare, and [result ()], a copy of the last
+   pass's allocation. *)
+let tier inst frac =
+  let p = trial_plan inst frac in
+  let k = float_of_int inst.Instance.k in
+  let rho = inst.Instance.rho in
+  let copy () = plan_result p in
+  match inst.Instance.conflict with
+  | Instance.Unweighted _ ->
+      (2.0 *. sqrt k *. rho, (fun g ~scale_down -> round_trial g p ~scale_down), copy)
+  | Instance.Edge_weighted _ ->
+      ( 4.0 *. sqrt k *. rho,
+        (fun g ~scale_down ->
+          ignore (round_trial g p ~scale_down);
+          plan_algorithm3 p),
+        copy )
+  | Instance.Per_channel gs ->
+      let last = ref [||] in
+      ( 2.0 *. k *. rho,
+        (fun g ~scale_down ->
+          last := resolve_asymmetric inst gs (draw_tentative g p ~scale_down);
+          Allocation.value inst !last),
+        fun () -> !last )
+  | Instance.Per_channel_weighted wgs ->
+      let last = ref [||] in
+      ( 4.0 *. k *. rho,
+        (fun g ~scale_down ->
+          last :=
+            algorithm3_asymmetric inst
+              (resolve_partial_asymmetric inst wgs (draw_tentative g p ~scale_down));
+          Allocation.value inst !last),
+        fun () -> !last )
+
+(* One more trial into the running best: only a pass worth strictly more
+   than the best so far is copied out. *)
+let improve trial result g ~scale_down best best_value =
+  Tel.incr m_trials;
+  let value = trial g ~scale_down in
+  if value > !best_value then begin
+    Tel.incr m_improvements;
+    best_value := value;
+    best := result ()
+  end
 
 let solve ?(trials = 8) g_rng inst frac =
   if trials < 1 then invalid_arg "Rounding.solve: trials must be >= 1";
-  let one () =
-    match inst.Instance.conflict with
-    | Instance.Unweighted _ -> algorithm1 g_rng inst frac
-    | Instance.Edge_weighted _ -> algorithm3 inst (algorithm2 g_rng inst frac)
-    | Instance.Per_channel _ -> algorithm_asymmetric g_rng inst frac
-    | Instance.Per_channel_weighted _ ->
-        algorithm3_asymmetric inst (algorithm_asymmetric_weighted g_rng inst frac)
-  in
+  let scale_down, trial, result = tier inst frac in
   Tel.incr m_trials;
-  let best = ref (one ()) in
+  let best_value = ref (trial g_rng ~scale_down) in
+  let best = ref (result ()) in
   for _ = 2 to trials do
-    Tel.incr m_trials;
-    let cand = one () in
-    if Allocation.value inst cand > Allocation.value inst !best then begin
-      Tel.incr m_improvements;
-      best := cand
-    end
+    improve trial result g_rng ~scale_down best best_value
   done;
   !best
 
 (* Parallel best-of-[trials]: one independent PRNG stream per *trial*
    (never per domain), merged in fixed index order, so the result is a
    deterministic function of [seed] alone — running with 1 or N domains
-   returns byte-identical allocations. *)
+   returns byte-identical allocations.  Plans are mutable, so each trial
+   builds its own. *)
 let solve_par ?(domains = Pool.default_domains) ?chunk ?(trials = 8) ~seed inst frac =
   if trials < 1 then invalid_arg "Rounding.solve_par: trials must be >= 1";
   let one t =
     let g_rng = Prng.create ~seed:(seed + (7919 * (t + 1))) in
     Tel.incr m_trials;
-    match inst.Instance.conflict with
-    | Instance.Unweighted _ -> algorithm1 g_rng inst frac
-    | Instance.Edge_weighted _ -> algorithm3 inst (algorithm2 g_rng inst frac)
-    | Instance.Per_channel _ -> algorithm_asymmetric g_rng inst frac
-    | Instance.Per_channel_weighted _ ->
-        algorithm3_asymmetric inst (algorithm_asymmetric_weighted g_rng inst frac)
+    let scale_down, trial, result = tier inst frac in
+    let value = trial g_rng ~scale_down in
+    (value, result ())
   in
   let cands = Pool.map_array ~domains ?chunk one (Array.init trials Fun.id) in
   let best = ref cands.(0) in
   for t = 1 to trials - 1 do
-    if Allocation.value inst cands.(t) > Allocation.value inst !best then begin
+    if fst cands.(t) > fst !best then begin
       Tel.incr m_improvements;
       best := cands.(t)
     end
   done;
-  !best
-
-(* ------------------------------------------------------------------ *)
-(* One-vector rounding passes (the randomness interface [Derand]       *)
-(* drives): bidder v's bundle is picked by inverse-CDF over its        *)
-(* columns scaled by [1/scale_down], at an explicit uniform u_v.       *)
-(*                                                                     *)
-(* Everything that does not depend on the uniforms is built once per   *)
-(* plan: the by-size column split, each bidder's bundles, their values *)
-(* and running sums [acc +. x /. scale_down] in                        *)
-(* [Lp_relaxation.by_bidder] order, the w̄ table over the bidders with *)
-(* columns, and the buffers the passes reuse.                          *)
-(*                                                                     *)
-(* With [~levels:p], the plan also records the draws that land at each *)
-(* level: bidder v's pick at u = r/p for every r in [0, p), by the     *)
-(* same scan.  Seed (a, b) gives v the level (a·v + b) mod p, so       *)
-(* [plan_slope ~a] counting-sorts every non-empty pick into its bucket *)
-(* b = (r − a·v) mod p, bidders ascending, and the active bidders of   *)
-(* seed (a, b) are bucket b: a pass costs the resolution over them.    *)
-
-type side = {
-  bidders : int array;  (** bidders with columns on this side, ascending *)
-  bundles : Bundle.t array array;  (** [bidders.(i)]'s column bundles *)
-  values : float array array;  (** their values to [bidders.(i)] *)
-  cum : float array array;  (** their running sums [acc +. x /. scale_down] *)
-  (* the non-empty picks at every level, ascending in bidder then level:
-     bidder [hit_v.(h)] draws [hit_bundle.(h)], worth [hit_value.(h)], at
-     level [hit_level.(h)] *)
-  hit_v : int array;
-  hit_level : int array;
-  hit_bundle : Bundle.t array;
-  hit_value : float array;
-  hit_bucket : int array;  (** each hit's bucket under the current slope *)
-  start : int array;
-      (** bucket b holds the hits [by_bucket.(start.(b) .. start.(b+1) - 1)] *)
-  cursor : int array;
-  by_bucket : int array;
-  t : Bundle.t array;  (** tentative bundles; read for the active bidders only *)
-  tval : float array;  (** their values *)
-  act : int array;  (** active bidders of the last draw, ascending *)
-  mutable n_act : int;
-  surv : int array;  (** survivors of the last resolution, ascending *)
-  mutable n_surv : int;
-  mutable value : float;  (** their welfare *)
-}
-
-type plan = {
-  inst : Instance.t;
-  sides : side array;
-      (** small then large bundles ([Unweighted], [Edge_weighted]), or all
-          columns (per-channel instances) *)
-  levels : int;  (** p, or 0 without per-level picks *)
-  mutable slope : int;  (** a of the current buckets, or -1 *)
-  mask : int array;  (** Algorithm 1's active-bidder mask, clear between passes *)
-  wt : wtable;  (** w̄ over the bidders with columns ([Edge_weighted] only) *)
-  sc : scratch;
-  (* the last stage's result: [res_t.(v)], worth [res_tval.(v)], for the
-     bidders in [res_ids.(0 .. res_len-1)], nothing for the others *)
-  mutable res_t : Bundle.t array;
-  mutable res_tval : float array;
-  mutable res_ids : int array;
-  mutable res_len : int;
-}
-
-let with_columns ~n per_bidder =
-  Array.of_list (List.filter (fun v -> per_bidder.(v) <> []) (List.init n Fun.id))
-
-(* Inverse-CDF pick: the first column whose running sum exceeds [u], or
-   [Array.length cum] for none. *)
-let pick cum u =
-  let j = ref 0 in
-  while !j < Array.length cum && not (u < cum.(!j)) do
-    incr j
-  done;
-  !j
-
-let side_of inst ~n ~scale_down ~levels per_bidder =
-  let bidders = with_columns ~n per_bidder in
-  let cols = Array.map (fun v -> Array.of_list per_bidder.(v)) bidders in
-  let bundles = Array.map (Array.map fst) cols in
-  let cum =
-    Array.map
-      (fun c ->
-        let sums = Array.make (Array.length c) 0.0 in
-        let acc = ref 0.0 in
-        Array.iteri
-          (fun i (_, x) ->
-            acc := !acc +. (x /. scale_down);
-            sums.(i) <- !acc)
-          c;
-        sums)
-      cols
-  in
-  let values =
-    Array.mapi
-      (fun i bs ->
-        Array.map (Valuation.value inst.Instance.bidders.(bidders.(i))) bs)
-      bundles
-  in
-  (* [f i r j] for every non-empty pick [j] of bidder [bidders.(i)] at
-     level [r], ascending in [i] then [r] *)
-  let iter_hits f =
-    for i = 0 to Array.length bidders - 1 do
-      for r = 0 to levels - 1 do
-        let j = pick cum.(i) (float_of_int r /. float_of_int levels) in
-        if j < Array.length cum.(i) && not (Bundle.is_empty bundles.(i).(j)) then f i r j
-      done
-    done
-  in
-  let n_hits = ref 0 in
-  iter_hits (fun _ _ _ -> incr n_hits);
-  let hit_v = Array.make !n_hits 0
-  and hit_level = Array.make !n_hits 0
-  and hit_bundle = Array.make !n_hits Bundle.empty
-  and hit_value = Array.make !n_hits 0.0 in
-  let h = ref 0 in
-  iter_hits (fun i r j ->
-      hit_v.(!h) <- bidders.(i);
-      hit_level.(!h) <- r;
-      hit_bundle.(!h) <- bundles.(i).(j);
-      hit_value.(!h) <- values.(i).(j);
-      incr h);
-  let m = Array.length bidders in
-  {
-    bidders;
-    bundles;
-    values;
-    cum;
-    hit_v;
-    hit_level;
-    hit_bundle;
-    hit_value;
-    hit_bucket = Array.make !n_hits 0;
-    start = Array.make (levels + 1) 0;
-    cursor = Array.make levels 0;
-    by_bucket = Array.make !n_hits 0;
-    t = Array.make n Bundle.empty;
-    tval = Array.make n 0.0;
-    act = Array.make m 0;
-    n_act = 0;
-    surv = Array.make m 0;
-    n_surv = 0;
-    value = 0.0;
-  }
-
-let plan ?(levels = 0) inst frac ~scale_down =
-  if levels < 0 then invalid_arg "Rounding.plan: negative levels";
-  let n = Instance.n inst in
-  let per_bidder = Lp_relaxation.by_bidder frac ~n in
-  let side = side_of inst ~n ~scale_down ~levels in
-  let sides =
-    match inst.Instance.conflict with
-    | Instance.Unweighted _ | Instance.Edge_weighted _ ->
-        let k = float_of_int inst.Instance.k in
-        let small, large = split_by_size per_bidder ~threshold:(sqrt k) in
-        [| side small; side large |]
-    | Instance.Per_channel _ | Instance.Per_channel_weighted _ -> [| side per_bidder |]
-  in
-  let wt =
-    match inst.Instance.conflict with
-    | Instance.Edge_weighted wg ->
-        let bidders = with_columns ~n per_bidder in
-        let m = Array.length bidders in
-        fill_wtable wg ~at:(Array.make n 0) ~w:(Array.create_float (m * m)) bidders m
-    | Instance.Unweighted _ | Instance.Per_channel _ | Instance.Per_channel_weighted _ ->
-        { at = [||]; size = 0; w = [||] }
-  in
-  {
-    inst;
-    sides;
-    levels;
-    slope = -1;
-    mask = Bitset.create n;
-    wt;
-    sc = scratch n;
-    res_t = sides.(0).t;
-    res_tval = sides.(0).tval;
-    res_ids = sides.(0).surv;
-    res_len = 0;
-  }
-
-(* Bidder v draws at [uniforms.(v)]. *)
-let draw s uniforms =
-  s.n_act <- 0;
-  for i = 0 to Array.length s.bidders - 1 do
-    let v = s.bidders.(i) in
-    let j = pick s.cum.(i) uniforms.(v) in
-    let bundle = if j < Array.length s.cum.(i) then s.bundles.(i).(j) else Bundle.empty in
-    s.t.(v) <- bundle;
-    if not (Bundle.is_empty bundle) then begin
-      s.tval.(v) <- s.values.(i).(j);
-      s.act.(s.n_act) <- v;
-      s.n_act <- s.n_act + 1
-    end
-  done
-
-(* Counting sort of the hits into the buckets of slope [a], stable, so
-   each bucket lists its bidders ascending (a bidder has one level per
-   seed, so at most one hit per bucket). *)
-let fill_buckets ~levels ~a s =
-  let start = s.start in
-  Array.fill start 0 (levels + 1) 0;
-  for h = 0 to Array.length s.hit_v - 1 do
-    let b = s.hit_level.(h) - ((a * s.hit_v.(h)) mod levels) in
-    let b = if b < 0 then b + levels else b in
-    s.hit_bucket.(h) <- b;
-    start.(b + 1) <- start.(b + 1) + 1
-  done;
-  for b = 1 to levels do
-    start.(b) <- start.(b) + start.(b - 1)
-  done;
-  Array.blit start 0 s.cursor 0 levels;
-  for h = 0 to Array.length s.hit_v - 1 do
-    let b = s.hit_bucket.(h) in
-    s.by_bucket.(s.cursor.(b)) <- h;
-    s.cursor.(b) <- s.cursor.(b) + 1
-  done
-
-(* The active bidders of seed (slope, b): bucket b. *)
-let draw_bucket s b =
-  let lo = s.start.(b) in
-  let n_act = s.start.(b + 1) - lo in
-  for e = 0 to n_act - 1 do
-    let h = s.by_bucket.(lo + e) in
-    let v = s.hit_v.(h) in
-    s.t.(v) <- s.hit_bundle.(h);
-    s.tval.(v) <- s.hit_value.(h);
-    s.act.(e) <- v
-  done;
-  s.n_act <- n_act
-
-(* The resolution stage of the conflict structure on the last draw of
-   [s], and the welfare of its survivors. *)
-let resolve_side p s =
-  let inst = p.inst in
-  let pi = inst.Instance.ordering in
-  s.n_surv <-
-    (match inst.Instance.conflict with
-    | Instance.Unweighted g -> resolve_unweighted_into pi g p.mask s.t s.act s.n_act s.surv
-    | Instance.Edge_weighted _ -> resolve_partial_into pi p.wt s.t s.act s.n_act s.surv
-    | Instance.Per_channel _ | Instance.Per_channel_weighted _ ->
-        invalid_arg "Rounding.plan_round_seed: unweighted/edge-weighted instances only");
-  s.value <- value_of s.tval s.surv s.n_surv
-
-(* The more valuable side (the small one on ties) is the result. *)
-let choose_side p =
-  let small = p.sides.(0) and large = p.sides.(1) in
-  let s = if small.value >= large.value then small else large in
-  p.res_t <- s.t;
-  p.res_tval <- s.tval;
-  p.res_ids <- s.surv;
-  p.res_len <- s.n_surv;
-  s.value
-
-let plan_round p uniforms =
-  for i = 0 to Array.length p.sides - 1 do
-    draw p.sides.(i) uniforms;
-    resolve_side p p.sides.(i)
-  done;
-  choose_side p
-
-let plan_slope p ~a =
-  if a < 0 || a >= p.levels then invalid_arg "Rounding.plan_slope: a outside [0, levels)";
-  Array.iter (fill_buckets ~levels:p.levels ~a) p.sides;
-  p.slope <- a
-
-let plan_round_seed p ~b =
-  if p.slope < 0 then invalid_arg "Rounding.plan_round_seed: no plan_slope";
-  if b < 0 || b >= p.levels then invalid_arg "Rounding.plan_round_seed: b outside [0, levels)";
-  for i = 0 to Array.length p.sides - 1 do
-    draw_bucket p.sides.(i) b;
-    resolve_side p p.sides.(i)
-  done;
-  choose_side p
-
-let plan_algorithm3 p =
-  (match require_conflict p.inst `Weighted "Rounding.plan_algorithm3" with
-  | `W _ -> ()
-  | `G _ | `P _ | `PW _ -> assert false);
-  if p.res_ids == p.sc.kept then
-    invalid_arg "Rounding.plan_algorithm3: no plan_round_seed since the last call";
-  let value =
-    algorithm3_into p.inst.Instance.ordering p.wt p.res_tval p.sc p.res_t p.res_ids p.res_len
-  in
-  p.res_ids <- p.sc.kept;
-  p.res_len <- p.sc.n_kept;
-  value
-
-let plan_result p = materialize (Instance.n p.inst) p.res_t p.res_ids p.res_len
-
-let round_with_uniforms inst frac ~scale_down ~uniforms =
-  if Array.length uniforms < Instance.n inst then
-    invalid_arg "Rounding.round_with_uniforms: uniforms shorter than n";
-  let p = plan inst frac ~scale_down in
-  match inst.Instance.conflict with
-  | Instance.Unweighted _ | Instance.Edge_weighted _ ->
-      ignore (plan_round p uniforms);
-      plan_result p
-  | Instance.Per_channel gs ->
-      let s = p.sides.(0) in
-      draw s uniforms;
-      resolve_asymmetric inst gs s.t
-  | Instance.Per_channel_weighted wgs ->
-      let s = p.sides.(0) in
-      draw s uniforms;
-      algorithm3_asymmetric inst (resolve_partial_asymmetric inst wgs s.t)
+  snd !best
 
 (* Adaptive-scale rounding.  The conflict-resolution stages enforce
    feasibility (resp. Condition (5)) for ANY rounding scale; only the
@@ -907,36 +896,14 @@ let scale_ladder canonical =
 
 let solve_adaptive ?(trials = 4) g_rng inst frac =
   if trials < 1 then invalid_arg "Rounding.solve_adaptive: trials must be >= 1";
-  let k = float_of_int inst.Instance.k in
-  let rho = inst.Instance.rho in
-  let canonical, one =
-    match inst.Instance.conflict with
-    | Instance.Unweighted _ ->
-        ( 2.0 *. sqrt k *. rho,
-          fun scale_down -> algorithm1_scaled g_rng inst frac ~scale_down )
-    | Instance.Edge_weighted _ ->
-        ( 4.0 *. sqrt k *. rho,
-          fun scale_down ->
-            algorithm3 inst (algorithm2_scaled g_rng inst frac ~scale_down) )
-    | Instance.Per_channel _ ->
-        ( 2.0 *. k *. rho,
-          fun scale_down -> algorithm_asymmetric_scaled g_rng inst frac ~scale_down )
-    | Instance.Per_channel_weighted _ ->
-        ( 4.0 *. k *. rho,
-          fun scale_down ->
-            algorithm3_asymmetric inst
-              (algorithm_asymmetric_weighted_scaled g_rng inst frac ~scale_down) )
-  in
+  let canonical, trial, result = tier inst frac in
+  (* the empty allocation is worth +0 *)
   let best = ref (Allocation.empty (Instance.n inst)) in
+  let best_value = ref 0.0 in
   List.iter
     (fun scale_down ->
       for _ = 1 to trials do
-        Tel.incr m_trials;
-        let cand = one scale_down in
-        if Allocation.value inst cand > Allocation.value inst !best then begin
-          Tel.incr m_improvements;
-          best := cand
-        end
+        improve trial result g_rng ~scale_down best best_value
       done)
     (scale_ladder canonical);
   !best

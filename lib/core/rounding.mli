@@ -108,38 +108,30 @@ val solve_par :
     allocation is chosen in fixed index order, so the result is
     byte-identical across domain counts and chunk sizes. *)
 
-val round_with_uniforms :
-  Instance.t ->
-  Lp_relaxation.fractional ->
-  scale_down:float ->
-  uniforms:float array ->
-  Allocation.t
-(** One deterministic rounding-plus-resolution pass where bidder [v]'s
-    randomness is the supplied [uniforms.(v) ∈ \[0,1)] (inverse-CDF over its
-    columns).  [uniforms] may be longer than [n] — a reused scratch buffer —
-    in which case entries past [n - 1] are ignored.  Applies the resolution stage matching the conflict structure:
-    the output is feasible for unweighted/per-channel instances and partly
-    feasible (Condition (5)) for edge-weighted ones — feed it to
-    {!algorithm3}.  This is one pass of a {!plan}. *)
-
 (** {2 Rounding plans}
 
-    The per-job state of repeated one-vector passes over the same LP
-    solution, as the pairwise-independence derandomization ({!Derand})
-    makes them: the by-size column split, each bidder's cumulative pick
-    table and the value of each of its bundles, and (edge-weighted
-    instances) a flat w̄ table over the bidders with columns are built
-    once.  With [~levels:p] the plan also stores, for every bidder and
-    every level [r] in [\[0, p)], the column the inverse-CDF scan picks at
-    the uniform [r /. p].  A pass gives bitwise the result of
-    {!round_with_uniforms} on the same uniforms. *)
+    The per-job state of repeated rounding passes over the same LP
+    solution: the by-size column split, each bidder's columns (bundles,
+    LP values x and their left-to-right total) and the value of each of
+    its bundles, and (edge-weighted instances) a flat w̄ table over the
+    bidders with columns are built once.  Every randomized tier runs its
+    trials on one plan per call ({!solve}, {!solve_adaptive}, the
+    [algorithm*] wrappers; {!solve_par} one per trial): a trial draws
+    bidder [v] with probability [total /. scale_down], then one of its
+    columns with probability proportional to x, from the same PRNG calls
+    in the same order at any scale, so the scale is a per-trial argument.
+    The pairwise-independence derandomization ({!Derand}) builds one with
+    [~levels:p]: the plan then also stores, for every bidder and every
+    level [r] in [\[0, p)], the column the inverse-CDF scan of its running
+    sums [acc +. x /. scale_down] picks at the uniform [r /. p]. *)
 
 type plan
 
 val plan :
   ?levels:int -> Instance.t -> Lp_relaxation.fractional -> scale_down:float -> plan
 (** [levels] (default 0: no per-level picks) is the p of
-    {!plan_slope}/{!plan_round_seed}. *)
+    {!plan_slope}/{!plan_round_seed}; [scale_down] is the scale of those
+    picks and is read only when [levels > 0]. *)
 
 val plan_slope : plan -> a:int -> unit
 (** [plan_slope p ~a] sorts the plan's per-level picks into the buckets
@@ -148,12 +140,16 @@ val plan_slope : plan -> a:int -> unit
     bundle, ascending.  O(levels + picks). *)
 
 val plan_round_seed : plan -> b:int -> float
-(** [plan_round_seed p ~b] runs one pass of {!round_with_uniforms}
-    ([Unweighted] and [Edge_weighted] instances only) at seed [(a, b)],
-    [a] from the last {!plan_slope}: bidder [v]'s uniform is
-    [float_of_int ((a·v + b) mod levels) /. float_of_int levels].  It
-    returns the welfare of its result and costs the resolution over the
-    bidders of bucket [b] only. *)
+(** [plan_round_seed p ~b] runs one rounding pass ([Unweighted] and
+    [Edge_weighted] instances only) at seed [(a, b)], [a] from the last
+    {!plan_slope}: bidder [v] picks by inverse CDF at the uniform
+    [float_of_int ((a·v + b) mod levels) /. float_of_int levels], a
+    uniform equal to a running sum passing that column.  Each side (small
+    bundles, large bundles) gets the resolution of {!algorithm1}
+    (unweighted) or {!algorithm2} (edge-weighted), and the more valuable
+    side wins, the small one on ties: the result is feasible (unweighted) or partly feasible
+    (Condition (5)).  It returns the welfare of its result and costs the
+    resolution over the bidders of bucket [b] only. *)
 
 val plan_algorithm3 : plan -> float
 (** {!algorithm3} on the result of the last {!plan_round_seed}
@@ -169,13 +165,19 @@ val solve_adaptive :
   Instance.t ->
   Lp_relaxation.fractional ->
   Allocation.t
-(** Practical variant: tries a geometric ladder of rounding scales from the
-    canonical [2√k·ρ] (resp. [4√k·ρ], [2k·ρ]) down to 1, [trials] runs each
-    (default 4), and keeps the best feasible allocation.  The conflict-
-    resolution stages enforce feasibility at *any* scale, so this retains
-    the worst-case guarantee (the canonical scale is included) while
-    allocating much more aggressively on benign instances — the ablation of
-    experiment E8. *)
+(** Practical variant: tries a geometric ladder of rounding scales,
+    [trials] runs each (default 4), and keeps the best feasible allocation
+    (the earliest on ties; the empty allocation if nothing beats it).  The
+    ladder runs ascending from 1.0 up to the canonical [2√k·ρ] (resp.
+    [4√k·ρ], [2k·ρ], [4k·ρ]): [c /. 2{^i}] for every [i] with
+    [c /. 2{^i} > 1], preceded by 1.0, and the trials draw from the PRNG
+    in that order.  The conflict-resolution stages enforce feasibility at
+    *any* scale, so for a canonical scale above 1 this retains the
+    worst-case guarantee (the canonical scale is included) while
+    allocating much more aggressively on benign instances — the ablation
+    of experiment E8.  A canonical scale at or below 1 gives the ladder
+    [\[1.0\]] alone, without the canonical scale; [Instance.make]'s
+    [rho ≥ 1] keeps every canonical scale at 2 or more. *)
 
 val guarantee : Instance.t -> float
 (** The theoretical approximation factor of {!solve} for this instance:

@@ -175,6 +175,7 @@ perfbench_smoke colgen-mix 1 db6cc8b779a9dc7526ef2fe65fb9169c 9524 "" 122412
 perfbench_smoke sinr-fresh 1 5bdc332bcf3bbd9347c2108b883a45cc 2006 "" 122412
 perfbench_smoke colgen-mix 7 e1ede71d5d2d24c032631530ad10beaa 9860 "" 122412
 perfbench_smoke sinr-fresh 7 859d4aeda72a133281519557fd2664ac 1984 36 122412
+perfbench_smoke geo-repeat 7 1b96e99eca9127f7098eff548b64d59a 8800 49 ""
 
 echo "== telemetry smoke (serve --demo --metrics-out)"
 snap="$tmpdir/metrics.json"

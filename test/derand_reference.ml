@@ -1,15 +1,22 @@
-(* Reference for the derandomization: the per-candidate enumeration as it
-   was before the per-job rounding plan, kept verbatim apart from the
-   module aliases below.  Every (a, b) runs a full [round_with_uniforms]
-   (by-bidder columns, size split, a fresh tentative array, conflict sums
-   over all n bidders) and [better] compares two [Allocation.value]s.  The
-   production [Derand] must return the same bundles with the same value
-   bits; [test/suite_derand.ml] checks that.  Three departures from the
-   old text: per-channel instances (never derandomized) are left out of
-   [round_with_uniforms]; the uniforms live in a fresh array instead of a
-   [Sa_lp.Workspace] slot; and the reference does not bump the
-   [core.derand.candidates] counter, so a test can watch the production
-   enumeration alone. *)
+(* Reference for the rounding plans: the derandomization's per-candidate
+   enumeration as it was before the per-job rounding plan, and the
+   randomized tiers ([solve], [solve_adaptive], [solve_par] and the
+   Algorithm-1/2 and per-channel [_scaled] bodies) as they were before
+   they ran on one plan per call, kept verbatim apart from the module
+   aliases below.  Every (a, b) runs a full [round_with_uniforms] and
+   every trial a full [tentative] (by-bidder columns, size split, a fresh
+   tentative array, conflict sums over all n bidders), and [better] and
+   the trial loops compare whole-allocation [Allocation.value]s.  The
+   production [Derand] and tiers must return the same bundles with the
+   same value bits, and the tiers must leave the PRNG in the same state
+   and move [core.rounding.trials]/[core.rounding.improvements] by the
+   same amounts; [test/suite_derand.ml] checks that.  Three departures
+   from the old text: per-channel instances (never derandomized) are left
+   out of [round_with_uniforms]; the uniforms live in a fresh array
+   instead of a [Sa_lp.Workspace] slot; and the reference does not bump
+   the [core.derand.candidates] counter, so a test can watch the
+   production enumeration alone.  [tentative] still borrows Workspace
+   float slot 24, which production no longer uses. *)
 
 module Bundle = Sa_val.Bundle
 module Ordering = Sa_graph.Ordering
@@ -245,6 +252,243 @@ let round_with_uniforms inst frac ~scale_down ~uniforms =
       better inst (run small) (run large)
   | Instance.Per_channel _ | Instance.Per_channel_weighted _ ->
       invalid_arg "Derand_reference.round_with_uniforms: per-channel instances"
+
+(* ---- from rounding.ml: the randomized tiers ------------------------------ *)
+
+module Pool = Sa_core.Pool
+module Tel = Sa_telemetry.Metrics
+
+let m_trials = Tel.counter "core.rounding.trials"
+let m_improvements = Tel.counter "core.rounding.improvements"
+
+let resolve_asymmetric inst graphs t =
+  let n = Instance.n inst in
+  let k = inst.Instance.k in
+  let pi = inst.Instance.ordering in
+  let final = Array.copy t in
+  (* per-channel masks of tentative holders: "some earlier neighbour holds
+     channel j" becomes one row ∧ mask scan in G_j *)
+  let holders = Array.init k (fun j -> Graph.mask_create graphs.(j)) in
+  for u = 0 to n - 1 do
+    Bundle.iter (fun j -> Bitset.add holders.(j) u) t.(u)
+  done;
+  for v = 0 to n - 1 do
+    if not (Bundle.is_empty t.(v)) then begin
+      let conflicted =
+        Bundle.fold
+          (fun j acc ->
+            acc
+            || Graph.exists_row_inter graphs.(j) v holders.(j) (fun u ->
+                   Ordering.precedes pi u v))
+          t.(v) false
+      in
+      if conflicted then final.(v) <- Bundle.empty
+    end
+  done;
+  final
+
+let algorithm_asymmetric_scaled g_rng inst frac ~scale_down =
+  let graphs = match require_conflict inst `Per_channel "Rounding.algorithm_asymmetric" with
+    | `P gs -> gs
+    | `G _ | `W _ | `PW _ -> assert false
+  in
+  let n = Instance.n inst in
+  let per_bidder = Lp_relaxation.by_bidder frac ~n in
+  let t = tentative g_rng ~scale_down per_bidder in
+  resolve_asymmetric inst graphs t
+
+let algorithm_asymmetric g_rng inst frac =
+  let k = float_of_int inst.Instance.k in
+  algorithm_asymmetric_scaled g_rng inst frac
+    ~scale_down:(2.0 *. k *. inst.Instance.rho)
+
+(* ------------------------------------------------------------------ *)
+(* Weighted asymmetric channels: per-channel weight functions w_j      *)
+(* (Section 6, full generality).  The rounding scales by 1/4kρ; the    *)
+(* partial resolution enforces the Condition-(5) analogue per channel, *)
+(* and a per-channel Algorithm-3 pass makes the result feasible.       *)
+
+(* Channel-j interference into v from tentatively allocated backward
+   vertices sharing channel j. *)
+let backward_channel_mass inst wgs alloc v j =
+  let pi = inst.Instance.ordering in
+  let total = ref 0.0 in
+  for u = 0 to Instance.n inst - 1 do
+    if u <> v && Ordering.precedes pi u v && Bundle.mem j alloc.(u) then
+      total := !total +. Weighted.wbar wgs.(j) u v
+  done;
+  !total
+
+let resolve_partial_asymmetric inst wgs t =
+  let n = Instance.n inst in
+  let final = Array.copy t in
+  for v = 0 to n - 1 do
+    if not (Bundle.is_empty t.(v)) then begin
+      let violated =
+        Bundle.fold
+          (fun j acc -> acc || backward_channel_mass inst wgs t v j >= 0.5)
+          t.(v) false
+      in
+      if violated then final.(v) <- Bundle.empty
+    end
+  done;
+  final
+
+let algorithm_asymmetric_weighted_scaled g_rng inst frac ~scale_down =
+  let wgs =
+    match require_conflict inst `Per_channel_weighted "Rounding.algorithm_asymmetric_weighted" with
+    | `PW wgs -> wgs
+    | `G _ | `W _ | `P _ -> assert false
+  in
+  let n = Instance.n inst in
+  let per_bidder = Lp_relaxation.by_bidder frac ~n in
+  let t = tentative g_rng ~scale_down per_bidder in
+  resolve_partial_asymmetric inst wgs t
+
+let algorithm_asymmetric_weighted g_rng inst frac =
+  let k = float_of_int inst.Instance.k in
+  algorithm_asymmetric_weighted_scaled g_rng inst frac
+    ~scale_down:(4.0 *. k *. inst.Instance.rho)
+
+(* Algorithm-3 analogue for per-channel weights: vertices by decreasing
+   rank; a vertex is dropped when some channel it holds receives incoming
+   interference >= 1 from the vertices still present. *)
+let algorithm3_asymmetric inst alloc =
+  let wgs =
+    match require_conflict inst `Per_channel_weighted "Rounding.algorithm3_asymmetric" with
+    | `PW wgs -> wgs
+    | `G _ | `W _ | `P _ -> assert false
+  in
+  let n = Instance.n inst in
+  let pi = inst.Instance.ordering in
+  let by_rank_desc = List.init n (fun pos -> Ordering.vertex_at pi (n - 1 - pos)) in
+  let incoming si v j =
+    let total = ref 0.0 in
+    for u = 0 to n - 1 do
+      if u <> v && Bundle.mem j si.(u) then total := !total +. Weighted.wbar wgs.(j) u v
+    done;
+    !total
+  in
+  let best = ref (Allocation.empty n) in
+  let remaining = ref (Allocation.allocated_bidders alloc) in
+  let continue_ = ref (!remaining <> []) in
+  while !continue_ do
+    let si = Allocation.empty n in
+    List.iter (fun v -> si.(v) <- alloc.(v)) !remaining;
+    let removed = ref [] in
+    List.iter
+      (fun v ->
+        if not (Bundle.is_empty si.(v)) then begin
+          let violated =
+            Bundle.fold (fun j acc -> acc || incoming si v j >= 1.0) si.(v) false
+          in
+          if violated then begin
+            si.(v) <- Bundle.empty;
+            removed := v :: !removed
+          end
+        end)
+      by_rank_desc;
+    best := better inst !best si;
+    if !removed = [] || List.length !removed >= List.length !remaining then
+      continue_ := false
+    else remaining := !removed
+  done;
+  !best
+
+(* ------------------------------------------------------------------ *)
+
+let solve ?(trials = 8) g_rng inst frac =
+  if trials < 1 then invalid_arg "Rounding.solve: trials must be >= 1";
+  let one () =
+    match inst.Instance.conflict with
+    | Instance.Unweighted _ -> algorithm1 g_rng inst frac
+    | Instance.Edge_weighted _ -> algorithm3 inst (algorithm2 g_rng inst frac)
+    | Instance.Per_channel _ -> algorithm_asymmetric g_rng inst frac
+    | Instance.Per_channel_weighted _ ->
+        algorithm3_asymmetric inst (algorithm_asymmetric_weighted g_rng inst frac)
+  in
+  Tel.incr m_trials;
+  let best = ref (one ()) in
+  for _ = 2 to trials do
+    Tel.incr m_trials;
+    let cand = one () in
+    if Allocation.value inst cand > Allocation.value inst !best then begin
+      Tel.incr m_improvements;
+      best := cand
+    end
+  done;
+  !best
+
+(* Parallel best-of-[trials]: one independent PRNG stream per *trial*
+   (never per domain), merged in fixed index order, so the result is a
+   deterministic function of [seed] alone — running with 1 or N domains
+   returns byte-identical allocations. *)
+let solve_par ?(domains = Pool.default_domains) ?chunk ?(trials = 8) ~seed inst frac =
+  if trials < 1 then invalid_arg "Rounding.solve_par: trials must be >= 1";
+  let one t =
+    let g_rng = Prng.create ~seed:(seed + (7919 * (t + 1))) in
+    Tel.incr m_trials;
+    match inst.Instance.conflict with
+    | Instance.Unweighted _ -> algorithm1 g_rng inst frac
+    | Instance.Edge_weighted _ -> algorithm3 inst (algorithm2 g_rng inst frac)
+    | Instance.Per_channel _ -> algorithm_asymmetric g_rng inst frac
+    | Instance.Per_channel_weighted _ ->
+        algorithm3_asymmetric inst (algorithm_asymmetric_weighted g_rng inst frac)
+  in
+  let cands = Pool.map_array ~domains ?chunk one (Array.init trials Fun.id) in
+  let best = ref cands.(0) in
+  for t = 1 to trials - 1 do
+    if Allocation.value inst cands.(t) > Allocation.value inst !best then begin
+      Tel.incr m_improvements;
+      best := cands.(t)
+    end
+  done;
+  !best
+
+(* Adaptive-scale rounding.  The conflict-resolution stages enforce
+   feasibility (resp. Condition (5)) for ANY rounding scale; only the
+   expectation analysis needs the canonical scale.  Trying a geometric
+   ladder of more aggressive scales — the canonical one included — keeps
+   the worst-case guarantee while often allocating far more in practice. *)
+let scale_ladder canonical =
+  let rec go s acc = if s <= 1.0 then 1.0 :: acc else go (s /. 2.0) (s :: acc) in
+  go canonical []
+
+let solve_adaptive ?(trials = 4) g_rng inst frac =
+  if trials < 1 then invalid_arg "Rounding.solve_adaptive: trials must be >= 1";
+  let k = float_of_int inst.Instance.k in
+  let rho = inst.Instance.rho in
+  let canonical, one =
+    match inst.Instance.conflict with
+    | Instance.Unweighted _ ->
+        ( 2.0 *. sqrt k *. rho,
+          fun scale_down -> algorithm1_scaled g_rng inst frac ~scale_down )
+    | Instance.Edge_weighted _ ->
+        ( 4.0 *. sqrt k *. rho,
+          fun scale_down ->
+            algorithm3 inst (algorithm2_scaled g_rng inst frac ~scale_down) )
+    | Instance.Per_channel _ ->
+        ( 2.0 *. k *. rho,
+          fun scale_down -> algorithm_asymmetric_scaled g_rng inst frac ~scale_down )
+    | Instance.Per_channel_weighted _ ->
+        ( 4.0 *. k *. rho,
+          fun scale_down ->
+            algorithm3_asymmetric inst
+              (algorithm_asymmetric_weighted_scaled g_rng inst frac ~scale_down) )
+  in
+  let best = ref (Allocation.empty (Instance.n inst)) in
+  List.iter
+    (fun scale_down ->
+      for _ = 1 to trials do
+        Tel.incr m_trials;
+        let cand = one scale_down in
+        if Allocation.value inst cand > Allocation.value inst !best then begin
+          Tel.incr m_improvements;
+          best := cand
+        end
+      done)
+    (scale_ladder canonical);
+  !best
 
 (* ---- from derand.ml ------------------------------------------------------ *)
 

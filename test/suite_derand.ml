@@ -1,11 +1,13 @@
-(* Differential suite for the derandomization and the active-set conflict
+(* Differential suite for the rounding plans and the active-set conflict
    resolution: [Derand] against the per-candidate enumeration it replaced
    ([Derand_reference]) — same bundle for every bidder, same value bits —
    on disk, random, SINR and random edge-weighted conflict graphs and every
-   bidding language; [Rounding.round_with_uniforms] and the randomized
-   edge-weighted and unweighted tiers against the same reference; the
-   candidate counter; and the pairwise independence of the affine family
-   below p. *)
+   bidding language; one-vector plan passes at any number of levels and
+   the randomized tiers of all four conflict kinds ([solve],
+   [solve_adaptive], [solve_par] and the [_scaled] wrappers, which also
+   must leave the PRNG and the rounding counters as the reference does)
+   against the same reference; the candidate counter; and the pairwise
+   independence of the affine family below p. *)
 
 module Prng = Sa_util.Prng
 module Bundle = Sa_val.Bundle
@@ -133,29 +135,47 @@ let prop_derand_matches_reference =
       check_same what ~stage:"derand" inst (derand inst frac) (reference inst frac);
       true)
 
-(* One-vector passes on uniforms that are not multiples of 1/p, including
-   0 and values just below 1. *)
-let prop_round_with_uniforms_matches_reference =
-  QCheck.Test.make ~count:100 ~name:"round_with_uniforms = reference, bitwise" seeds
+(* The uniforms of seed (a, b) in a plan of [levels] levels. *)
+let level_uniforms ~levels ~a ~b n =
+  Array.init n (fun v -> float_of_int (((a * v) + b) mod levels) /. float_of_int levels)
+
+(* One-vector passes at level counts other than p, from 1 (every uniform
+   0) to a few thousand (uniforms just below 1), at random scales. *)
+let prop_plan_levels_match_reference =
+  QCheck.Test.make ~count:100 ~name:"plan passes at any levels = reference, bitwise" seeds
     (fun seed ->
       let what, inst = random_instance seed in
       let frac = Lp.solve_explicit inst in
       let g = Prng.create ~seed:(seed + 1) in
       let n = Instance.n inst in
       let scale_down = Float.max 0.5 (Prng.float g 4.0) in
+      let levels =
+        match Prng.int g 3 with
+        | 0 -> 1 + Prng.int g 4
+        | 1 -> 1 + Prng.int g 200
+        | _ -> 1000 + Prng.int g 4000
+      in
+      let plan = Rounding.plan ~levels inst frac ~scale_down in
       for _ = 1 to 10 do
-        let uniforms =
-          Array.init (n + 2) (fun _ ->
-              match Prng.int g 8 with 0 -> 0.0 | 1 -> Float.pred 1.0 | _ -> Prng.float g 1.0)
-        in
-        let got = Rounding.round_with_uniforms inst frac ~scale_down ~uniforms in
+        let a = Prng.int g levels and b = Prng.int g levels in
+        Rounding.plan_slope plan ~a;
+        let value = Rounding.plan_round_seed plan ~b in
+        let got = Rounding.plan_result plan in
+        let uniforms = level_uniforms ~levels ~a ~b n in
         let want = Reference.round_with_uniforms inst frac ~scale_down ~uniforms in
-        check_same what ~stage:"round_with_uniforms" inst got want;
+        let stage = Printf.sprintf "%d levels, seed (%d, %d)" levels a b in
+        check_same what ~stage inst got want;
+        if Int64.bits_of_float value <> bits inst got then
+          fail "%s: %s: returned value bits differ from the result's" what stage;
         if is_weighted inst then begin
-          check_same what ~stage:"algorithm3" inst (Rounding.algorithm3 inst got)
-            (Reference.algorithm3 inst want);
           if Rounding.is_partly_feasible inst got <> Reference.is_partly_feasible inst want
-          then fail "%s: is_partly_feasible differs" what
+          then fail "%s: is_partly_feasible differs" what;
+          let want3 = Reference.algorithm3 inst want in
+          check_same what ~stage:"algorithm3" inst (Rounding.algorithm3 inst got) want3;
+          let value3 = Rounding.plan_algorithm3 plan in
+          check_same what ~stage:"plan_algorithm3" inst (Rounding.plan_result plan) want3;
+          if Int64.bits_of_float value3 <> bits inst want3 then
+            fail "%s: %s: plan_algorithm3 value bits differ" what stage
         end
       done;
       true)
@@ -319,6 +339,14 @@ let fan_in ws =
   Instance.make ~conflict:(Instance.Edge_weighted wg) ~k:1 ~bidders:(Array.make 4 one_channel)
     ~ordering:(Ordering.identity 4) ~rho:1.0
 
+(* The pass in which every bidder draws level [level] of [levels] (slope
+   0), at scale 1. *)
+let pass_at_level inst frac ~levels ~level =
+  let plan = Rounding.plan ~levels inst frac ~scale_down:1.0 in
+  Rounding.plan_slope plan ~a:0;
+  ignore (Rounding.plan_round_seed plan ~b:level);
+  Rounding.plan_result plan
+
 let test_float_order () =
   let all = Array.make 4 (Bundle.singleton 0) in
   let uniforms = Array.make 4 0.0 in
@@ -326,7 +354,7 @@ let test_float_order () =
   (* (0.03 + 0.29) + 0.18 < 1/2 ≤ (0.18 + 0.29) + 0.03: bidder 3 keeps
      its channel only when the backward mass is summed in ascending id *)
   let inst = fan_in [| 0.03; 0.29; 0.18 |] in
-  let got = Rounding.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms in
+  let got = pass_at_level inst frac ~levels:1 ~level:0 in
   check_alloc "Condition (5) sum order" inst got all;
   check_alloc "Condition (5) = reference" inst got
     (Reference.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms);
@@ -336,9 +364,20 @@ let test_float_order () =
   check_alloc "Algorithm 3 = reference" inst (Rounding.algorithm3 inst all)
     (Reference.algorithm3 inst all)
 
+(* The small-bundle side (three singletons) and the large one (one
+   3-channel bundle) are both worth 3 when every bidder draws: the small
+   side wins. *)
+let side_tie () =
+  ( Instance.make ~conflict:(Instance.Unweighted (Sa_graph.Graph.create 4)) ~k:4
+      ~bidders:(Array.make 4 (Valuation.Symmetric [| 0.0; 1.0; 2.0; 3.0; 4.0 |]))
+      ~ordering:(Ordering.identity 4) ~rho:1.0,
+    fractional
+      [ column 0 [ 0; 1; 2 ] 1.0; column 1 [ 3 ] 1.0; column 2 [ 3 ] 1.0; column 3 [ 3 ] 1.0 ] )
+
 let test_pick_and_side_ties () =
-  (* a uniform equal to a running sum is past that column; bidder 2's
-     columns come out of [Lp.by_bidder] as {0} then {1} *)
+  (* a uniform equal to a running sum is past that column, one below it
+     picks it; bidder 2's columns come out of [Lp.by_bidder] as {0} then
+     {1}.  With 4 levels at slope 0 every bidder draws u = level / 4. *)
   let inst =
     Instance.make ~conflict:(Instance.Unweighted (Sa_graph.Graph.create 3)) ~k:2
       ~bidders:(Array.make 3 one_channel) ~ordering:(Ordering.identity 3) ~rho:1.0
@@ -347,24 +386,19 @@ let test_pick_and_side_ties () =
     fractional
       [ column 0 [ 0 ] 0.5; column 1 [ 0 ] 0.25; column 2 [ 1 ] 0.25; column 2 [ 0 ] 0.25 ]
   in
-  let uniforms = [| 0.5; Float.pred 0.25; 0.25 |] in
-  let got = Rounding.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms in
-  check_alloc "inverse-CDF boundary" inst got
-    [| Bundle.empty; Bundle.singleton 0; Bundle.singleton 1 |];
-  check_alloc "boundary = reference" inst got
-    (Reference.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms);
-  (* the small-bundle side (three singletons) and the large one (one
-     3-channel bundle) are both worth 3: the small side wins *)
-  let inst =
-    Instance.make ~conflict:(Instance.Unweighted (Sa_graph.Graph.create 4)) ~k:4
-      ~bidders:(Array.make 4 (Valuation.Symmetric [| 0.0; 1.0; 2.0; 3.0; 4.0 |]))
-      ~ordering:(Ordering.identity 4) ~rho:1.0
-  in
-  let frac =
-    fractional [ column 0 [ 0; 1; 2 ] 1.0; column 1 [ 3 ] 1.0; column 2 [ 3 ] 1.0; column 3 [ 3 ] 1.0 ]
-  in
+  let none = Bundle.empty and zero = Bundle.singleton 0 and one = Bundle.singleton 1 in
+  List.iter
+    (fun (level, want) ->
+      let what = Printf.sprintf "inverse-CDF boundary at u = %d/4" level in
+      let got = pass_at_level inst frac ~levels:4 ~level in
+      check_alloc what inst got want;
+      check_alloc (what ^ " = reference") inst got
+        (Reference.round_with_uniforms inst frac ~scale_down:1.0
+           ~uniforms:(Array.make 3 (float_of_int level /. 4.0))))
+    [ (0, [| zero; zero; zero |]); (1, [| zero; none; one |]); (2, [| none; none; none |]) ];
+  let inst, frac = side_tie () in
   let uniforms = Array.make 4 0.0 in
-  let got = Rounding.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms in
+  let got = pass_at_level inst frac ~levels:1 ~level:0 in
   let three = Bundle.singleton 3 in
   check_alloc "side tie" inst got [| Bundle.empty; three; three; three |];
   check_alloc "side tie = reference" inst got
@@ -395,9 +429,7 @@ let test_level_pick_boundary () =
       check_alloc what inst got want;
       let uniforms = Array.make 2 (float_of_int level /. float_of_int p) in
       check_alloc (what ^ " = reference") inst got
-        (Reference.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms);
-      check_alloc (what ^ " = round_with_uniforms") inst got
-        (Rounding.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms))
+        (Reference.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms))
     [
       (24, [| Bundle.singleton 0; Bundle.empty |]);
       (25, [| Bundle.singleton 1; Bundle.empty |]);
@@ -410,6 +442,156 @@ let test_level_pick_boundary () =
   Alcotest.check_raises "seed before any slope"
     (Invalid_argument "Rounding.plan_round_seed: no plan_slope") (fun () ->
       ignore (Rounding.plan_round_seed (Rounding.plan ~levels:p inst frac ~scale_down:1.0) ~b:0))
+
+(* ---------- randomized tiers = reference -------------------------------- *)
+
+(* An instance of conflict kind [seed mod 4] (unweighted, edge-weighted,
+   per-channel, per-channel weighted), n <= 30. *)
+let tier_instance seed =
+  let g = Prng.create ~seed in
+  let n = 2 + Prng.int g 29 and k = 1 + Prng.int g 4 in
+  let lang = languages.(seed / 4 mod Array.length languages) in
+  let per_channel kind conflict =
+    let bidders = Array.init n (fun _ -> bidder g ~k lang) in
+    let inst =
+      Instance.make ~conflict ~k ~bidders ~ordering:(Ordering.of_order (Prng.permutation g n))
+        ~rho:(1.0 +. Prng.float g 2.0)
+    in
+    (Printf.sprintf "%s/%s n=%d k=%d seed %d" kind lang n k seed, inst)
+  in
+  match seed mod 4 with
+  | 0 -> instance_of g ~seed ~topo:(if Prng.bool g then "disk" else "random-graph") ~lang ~n ~k
+  | 1 -> instance_of g ~seed ~topo:topologies.(2 + Prng.int g 3) ~lang ~n ~k
+  | 2 ->
+      per_channel "per-channel"
+        (Instance.Per_channel (Array.init k (fun _ -> Generators.gnp g ~n ~p:0.25)))
+  | _ ->
+      per_channel "per-channel-weighted"
+        (Instance.Per_channel_weighted
+           (Array.init k (fun j ->
+                if j mod 2 = 0 then sparse_weighted g ~n
+                else Generators.random_weighted g ~n ~density:0.4 ~scale:0.6)))
+
+let rounding_counters () =
+  ( Metrics.counter_value (Metrics.counter "core.rounding.trials"),
+    Metrics.counter_value (Metrics.counter "core.rounding.improvements") )
+
+(* [got] and [want] run from equal PRNG states: the same bundles, the same
+   value bits, the same PRNG state afterwards and the same moves of the
+   rounding counters. *)
+let check_tier what ~stage ~seed inst got want =
+  let g_got = Prng.create ~seed and g_want = Prng.create ~seed in
+  let t0, i0 = rounding_counters () in
+  let got = got g_got in
+  let t1, i1 = rounding_counters () in
+  let want = want g_want in
+  let t2, i2 = rounding_counters () in
+  check_same what ~stage inst got want;
+  for _ = 1 to 3 do
+    if Prng.int g_got 0x3FFFFFFF <> Prng.int g_want 0x3FFFFFFF then
+      fail "%s: %s: PRNG state differs afterwards" what stage
+  done;
+  if (t1 - t0, i1 - i0) <> (t2 - t1, i2 - i1) then
+    fail "%s: %s: counters moved by %d trials, %d improvements; reference %d, %d" what stage
+      (t1 - t0) (i1 - i0) (t2 - t1) (i2 - i1)
+
+(* Every randomized tier of [inst]'s conflict kind against the reference. *)
+let check_tiers what inst frac ~seed ~trials ~scale_down =
+  let tier stage got want = check_tier what ~stage ~seed inst got want in
+  tier "solve"
+    (fun g -> Rounding.solve ~trials g inst frac)
+    (fun g -> Reference.solve ~trials g inst frac);
+  tier "solve_adaptive"
+    (fun g -> Rounding.solve_adaptive ~trials g inst frac)
+    (fun g -> Reference.solve_adaptive ~trials g inst frac);
+  tier "solve_par"
+    (fun _ -> Rounding.solve_par ~domains:2 ~trials ~seed inst frac)
+    (fun _ -> Reference.solve_par ~domains:1 ~trials ~seed inst frac);
+  let scaled, reference =
+    match inst.Instance.conflict with
+    | Instance.Unweighted _ -> (Rounding.algorithm1_scaled, Reference.algorithm1_scaled)
+    | Instance.Edge_weighted _ -> (Rounding.algorithm2_scaled, Reference.algorithm2_scaled)
+    | Instance.Per_channel _ ->
+        (Rounding.algorithm_asymmetric_scaled, Reference.algorithm_asymmetric_scaled)
+    | Instance.Per_channel_weighted _ ->
+        ( Rounding.algorithm_asymmetric_weighted_scaled,
+          Reference.algorithm_asymmetric_weighted_scaled )
+  in
+  tier "_scaled"
+    (fun g -> scaled g inst frac ~scale_down)
+    (fun g -> reference g inst frac ~scale_down)
+
+let prop_tiers_match_reference =
+  QCheck.Test.make ~count:100 ~name:"randomized tiers = reference: bits, PRNG, counters" seeds
+    (fun seed ->
+      let what, inst = tier_instance seed in
+      let frac = Lp.solve_explicit inst in
+      let g = Prng.create ~seed:(seed + 4) in
+      let trials = 1 + Prng.int g 8 and scale_down = Float.max 0.5 (Prng.float g 4.0) in
+      check_tiers what inst frac ~seed ~trials ~scale_down;
+      true)
+
+(* Hand-built columns on each conflict kind, k = 1 and rho = 1 (canonical
+   scales 2 and 4, the shortest ladders [Instance.make] admits): bidder 0
+   holds x = 1 (p_any = 1 at scale 1: [Prng.bernoulli] draws nothing),
+   bidder 1 x = 1.25 over two columns, bidder 2 two columns of x = 0 (no
+   draw at all), bidder 3 an empty-bundle column it may pick; the same
+   columns valued at 0; then [side_tie] at scale 1, where every bidder
+   draws. *)
+let test_tier_fixed_cases () =
+  let weighted n =
+    let wg = Weighted.create n in
+    List.iter (fun (u, v, x) -> Weighted.set wg u v x) [ (0, 1, 0.3); (0, 3, 0.3); (1, 3, 0.6) ];
+    wg
+  in
+  let kinds n =
+    [
+      ("unweighted", Instance.Unweighted (Sa_graph.Graph.of_edges n [ (0, 1); (1, 3) ]));
+      ("edge-weighted", Instance.Edge_weighted (weighted n));
+      ("per-channel", Instance.Per_channel [| Sa_graph.Graph.of_edges n [ (0, 1); (1, 3) ] |]);
+      ("per-channel-weighted", Instance.Per_channel_weighted [| weighted n |]);
+    ]
+  in
+  let frac =
+    fractional
+      [
+        column 0 [ 0 ] 1.0;
+        column 1 [ 0 ] 0.5;
+        column 1 [ 0 ] 0.75;
+        column 2 [ 0 ] 0.0;
+        column 2 [ 0 ] 0.0;
+        column 3 [] 0.6;
+        column 3 [ 0 ] 0.3;
+      ]
+  in
+  List.iter
+    (fun (kind, conflict) ->
+      let inst =
+        Instance.make ~conflict ~k:1 ~bidders:(Array.make 4 one_channel)
+          ~ordering:(Ordering.identity 4) ~rho:1.0
+      in
+      for seed = 1 to 20 do
+        check_tiers kind inst frac ~seed ~trials:4 ~scale_down:1.0
+      done)
+    (kinds 4);
+  (* every pass is worth 0 although bidders draw: [solve_adaptive] keeps
+     its empty start and counts no improvement *)
+  let zero =
+    Instance.make ~conflict:(Instance.Unweighted (Sa_graph.Graph.create 4)) ~k:1
+      ~bidders:(Array.make 4 (Valuation.Additive [| 0.0 |]))
+      ~ordering:(Ordering.identity 4) ~rho:1.0
+  in
+  for seed = 1 to 5 do
+    check_tiers "zero values" zero frac ~seed ~trials:4 ~scale_down:1.0
+  done;
+  let tie, frac = side_tie () in
+  let three = Bundle.singleton 3 in
+  check_alloc "side tie at scale 1" tie
+    (Rounding.algorithm1_scaled (Prng.create ~seed:1) tie frac ~scale_down:1.0)
+    [| Bundle.empty; three; three; three |];
+  for seed = 1 to 20 do
+    check_tiers "side tie" tie frac ~seed ~trials:4 ~scale_down:1.0
+  done
 
 let candidates () = Metrics.counter_value (Metrics.counter "core.derand.candidates")
 
@@ -476,7 +658,7 @@ let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
     q prop_derand_matches_reference;
-    q prop_round_with_uniforms_matches_reference;
+    q prop_plan_levels_match_reference;
     q prop_randomized_tier_matches_reference;
     q prop_resolution_on_dense_allocations;
     Alcotest.test_case "no candidate beats the empty allocation" `Quick
@@ -496,4 +678,7 @@ let suite =
       test_derand_above_prime;
     Alcotest.test_case "level pick at a running sum of exactly 25/101" `Quick
       test_level_pick_boundary;
+    q prop_tiers_match_reference;
+    Alcotest.test_case "randomized tiers = reference: fixed cases" `Quick
+      test_tier_fixed_cases;
   ]

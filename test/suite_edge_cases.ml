@@ -226,9 +226,9 @@ let test_weighted_negative_rejected () =
     (Invalid_argument "Weighted.set: negative weight") (fun () ->
       Weighted.set wg 0 1 (-0.5))
 
-(* ---------- round_with_uniforms -------------------------------------------- *)
+(* ---------- one-vector rounding passes ----------------------------------- *)
 
-let test_round_with_uniforms_extremes () =
+let test_plan_pass_extremes () =
   let graph = Graph.of_edges 3 [ (0, 1) ] in
   let inst =
     Instance.make ~conflict:(Instance.Unweighted graph) ~k:1
@@ -236,22 +236,27 @@ let test_round_with_uniforms_extremes () =
       ~ordering:(Ordering.identity 3) ~rho:1.0
   in
   let frac = Lp.solve_explicit inst in
-  (* uniforms at ~1: nobody selected *)
-  let none =
-    Rounding.round_with_uniforms inst frac ~scale_down:2.0
-      ~uniforms:[| 0.999; 0.999; 0.999 |]
+  (* every bidder draws level [level] of [levels] (slope 0), so its
+     uniform is level / levels *)
+  let pass ~levels ~level ~scale_down =
+    let plan = Rounding.plan ~levels inst frac ~scale_down in
+    Rounding.plan_slope plan ~a:0;
+    ignore (Rounding.plan_round_seed plan ~b:level);
+    Rounding.plan_result plan
   in
+  (* uniforms at 0.999: nobody selected *)
+  let none = pass ~levels:1000 ~level:999 ~scale_down:2.0 in
   Alcotest.(check int) "nobody wins" 0 (List.length (Allocation.allocated_bidders none));
   (* uniforms at 0 with scale 1: everyone with x=1 tentatively selected;
      conflict resolution drops the later of 0-1 *)
-  let all =
-    Rounding.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms:[| 0.0; 0.0; 0.0 |]
-  in
+  let all = pass ~levels:1 ~level:0 ~scale_down:1.0 in
   Alcotest.(check bool) "feasible" true (Allocation.is_feasible inst all);
-  Alcotest.check_raises "size mismatch"
-    (Invalid_argument "Rounding.round_with_uniforms: uniforms shorter than n")
+  Alcotest.check_raises "level outside the plan"
+    (Invalid_argument "Rounding.plan_round_seed: b outside [0, levels)")
     (fun () ->
-      ignore (Rounding.round_with_uniforms inst frac ~scale_down:1.0 ~uniforms:[| 0.0 |]))
+      let plan = Rounding.plan ~levels:1 inst frac ~scale_down:1.0 in
+      Rounding.plan_slope plan ~a:0;
+      ignore (Rounding.plan_round_seed plan ~b:1))
 
 let test_poisson () =
   let g = Prng.create ~seed:21 in
@@ -282,6 +287,6 @@ let suite =
     Alcotest.test_case "protocol delta validation" `Quick test_protocol_delta_validation;
     Alcotest.test_case "link validation" `Quick test_link_validation;
     Alcotest.test_case "negative weights rejected" `Quick test_weighted_negative_rejected;
-    Alcotest.test_case "round_with_uniforms extremes" `Quick test_round_with_uniforms_extremes;
+    Alcotest.test_case "plan pass extremes" `Quick test_plan_pass_extremes;
     Alcotest.test_case "poisson sampler" `Quick test_poisson;
   ]
