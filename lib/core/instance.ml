@@ -87,9 +87,9 @@ let wbar t ~channel u v =
     | Per_channel_weighted wgs -> Weighted.wbar wgs.(channel) u v
 
 (* Every u ≠ v with w̄_j(u,v) > 0 on some channel j and [keep u], in
-   ascending id.  Unweighted and edge-weighted conflicts walk their sparse
-   neighbour lists; per-channel conflicts scan all vertices and test each
-   channel. *)
+   ascending id.  Unweighted conflicts walk their neighbour lists,
+   edge-weighted ones scan v's dense row and column, and per-channel
+   conflicts scan all vertices and test each channel. *)
 let iter_neighbours t v keep f =
   match t.conflict with
   | Unweighted g -> Graph.iter_neighbors g v (fun u -> if keep u then f u)

@@ -61,9 +61,9 @@ val iter_backward : t -> int -> (int -> unit) -> unit
     and [w̄_j(u,v) > 0] on at least one channel [j] — the backward
     neighbourhood Γπ(v) that the interference row of [v] sums over —
     in ascending id, with no allocation per neighbour.  Cost: [O(deg v)] for
-    [Unweighted] and sparse [Edge_weighted] conflicts, [O(n)] for dense
-    edge-weighted ones, [O(n·k)] for the per-channel kinds.  Callers that
-    need one channel still test [wbar t ~channel u v > 0]. *)
+    [Unweighted] conflicts, [O(n)] for [Edge_weighted] ones, [O(n·k)] for
+    the per-channel kinds.  Callers that need one channel still test
+    [wbar t ~channel u v > 0]. *)
 
 val iter_forward : t -> int -> (int -> unit) -> unit
 (** As {!iter_backward} for the vertices [u] with [π(u) > π(v)]. *)

@@ -308,8 +308,7 @@ let allocation_of_string s =
    tag byte names each conflict kind and per-channel section, and a count
    precedes every list, so the encoding is prefix-free — tags alone are not,
    since an int's bytes can equal a tag byte (vertex 101 is 'e').  Exact
-   bits key exactly what the text's %.17g does, and dense and sparse graphs
-   with the same positive entries encode alike.
+   bits key exactly what the text's %.17g does.
 
    The encoding is hashed in fixed-size chunks, and the key is the digest
    of the chunk digests.  A key thus allocates one minor-heap chunk and 16

@@ -42,11 +42,8 @@ val allocation_of_string : string -> Allocation.t
     format: each is a hex MD5 over a private binary encoding (fixed-width
     ints, a tag byte per conflict kind, a count before every list) that
     carries every positive weight as its exact float bits.  Keys are equal
-    iff the keyed parts serialise identically — so a text round trip keeps
-    them, and dense and sparse graphs with the same positive entries share
-    them.  A sparse graph's weight floor {!Sa_graph.Weighted.w_min} and
-    its {!Sa_graph.Weighted.dropped_in_bound} slack are not keyed: no
-    solver stage reads them. *)
+    iff the keyed parts serialise identically — so a text round trip, and
+    a {!Sa_graph.Weighted.copy}, keep them. *)
 
 val conflict_fingerprint : Instance.conflict -> string
 (** Key of the conflict structure alone (its kind, vertex count and

@@ -158,8 +158,8 @@ val topology_of_conflict : ?key:string -> t -> Sa_core.Instance.conflict -> topo
 
     [key] overrides the cache key (default:
     {!Sa_core.Serialize.conflict_fingerprint}, a digest of every positive
-    entry's exact bits — O(n + nnz) for sparse graphs, O(n²) for dense
-    ones).  Geometric producers pass
+    entry's exact bits — O(n²) for edge-weighted graphs, whose rows are
+    dense).  Geometric producers pass
     {!Sa_geom.Spatial.fingerprint} of the placement instead — O(n) and
     available before the conflict graph is even built.  The caller must
     guarantee the key determines the conflict structure. *)

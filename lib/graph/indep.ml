@@ -117,9 +117,9 @@ let max_profit_weighted ?(node_limit = default_node_limit) wg ~candidates ~profi
   Array.sort (fun a b -> compare (profit b) (profit a)) cands;
   (* The search runs over positions in [cands].  Profits and the weights
      between candidates are looked up once here: the search revisits each
-     pair at many nodes, and in a sparse graph every lookup is a binary
-     search.  Each sum below keeps its terms and their order, so the result
-     is bitwise what per-node lookups give. *)
+     pair at many nodes, and every [Weighted.w] is a bounds-checked call.
+     Each sum below keeps its terms and their order, so the result is
+     bitwise what per-node lookups give. *)
   let m = Array.length cands in
   let prof = Array.map profit cands in
   let table = Domain.DLS.get weight_table in

@@ -18,9 +18,10 @@
       marks)
     - slots [16..23]: {!Model} (sparse problem staging)
     - slots [24..31]: [Sa_core.Rounding]'s public [algorithm3] and
-      [is_partly_feasible] (25, 27, 28; 24 and 26 unassigned — the
-      randomized trials run on a rounding plan that allocates its buffers
-      once per call)
+      [is_partly_feasible] (25, 27, 28; 24 and 26 unassigned, and no
+      client, test references included, uses them — the randomized
+      trials run on a rounding plan that allocates its buffers once per
+      call)
     - slots [32..39]: unassigned ([Sa_core.Derand]'s rounding plan
       allocates its buffers once per call)
 

@@ -63,17 +63,9 @@ let permutation g n =
   shuffle g a;
   a
 
-let categorical ?len g weights =
-  let n =
-    match len with
-    | None -> Array.length weights
-    | Some l ->
-        if l < 0 || l > Array.length weights then
-          invalid_arg "Prng.categorical: len out of range";
-        l
-  in
-  (* Left-to-right sum, bitwise equal to [Array.fold_left (+.)] over the
-     first [n] entries. *)
+let categorical g weights =
+  let n = Array.length weights in
+  (* Left-to-right sum, bitwise equal to [Array.fold_left (+.)]. *)
   let total = ref 0.0 in
   for i = 0 to n - 1 do
     total := !total +. weights.(i)

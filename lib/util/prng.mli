@@ -57,12 +57,11 @@ val shuffle : t -> 'a array -> unit
 val permutation : t -> int -> int array
 (** [permutation g n] is a uniform random permutation of [0..n-1]. *)
 
-val categorical : ?len:int -> t -> float array -> int
+val categorical : t -> float array -> int
 (** [categorical g weights] draws index [i] with probability proportional to
-    [weights.(i)].  Requires non-negative weights with positive sum.
-    [len] restricts the draw to the first [len] entries — for callers that
-    reuse an over-sized scratch buffer — with the same draw (bitwise) as a
-    [len]-sized array holding those entries. *)
+    [weights.(i)].  Requires non-negative weights with positive sum.  The
+    weights are summed left to right, so two arrays with the same entries
+    give the same draw bitwise. *)
 
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement g m n] draws [m] distinct values from

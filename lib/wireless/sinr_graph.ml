@@ -1,12 +1,7 @@
 module Weighted = Sa_graph.Weighted
 module Ordering = Sa_graph.Ordering
 module Metric = Sa_geom.Metric
-module Point = Sa_geom.Point
 module Spatial = Sa_geom.Spatial
-module Tel = Sa_telemetry.Metrics
-
-let m_kept = Tel.counter "wireless.construction.edges_kept"
-let m_dropped = Tel.counter "wireless.construction.edges_dropped"
 
 (* epsilon = beta/2 * min_{i, j<>i} (d_i / d(s_j, r_i))^alpha.  For fixed i
    the minimum is attained at the sender farthest from r_i, so on Euclidean
@@ -61,9 +56,7 @@ let ordering sys = Link.ordering_by_length ~decreasing:true sys
 let tau prm =
   1.0 /. (2.0 *. (3.0 ** prm.Sinr.alpha) *. ((4.0 *. prm.Sinr.beta) +. 2.0))
 
-(* The exact thm13 weight of longer link l onto shorter link l', written
-   with the same float expressions as the dense construction so the sparse
-   path stores bitwise-identical values. *)
+(* The thm13 weight of longer link l onto shorter link l'. *)
 let thm13_weight sys ~alpha ~scale l l' =
   let dl = Link.length sys l ** alpha in
   let d_s_r' = Link.dist_sr sys ~from_sender_of:l ~to_receiver_of:l' in
@@ -72,13 +65,9 @@ let thm13_weight sys ~alpha ~scale l l' =
   let term2 = Float.min 1.0 (dl /. (d_s'_r ** alpha)) in
   scale *. (term1 +. term2)
 
-let resolve_scale prm = function
-  | Some s -> s
-  | None -> 1.0 /. tau prm
-
 let thm13_graph ?weight_scale sys prm =
   Sinr.validate_params prm;
-  let scale = resolve_scale prm weight_scale in
+  let scale = match weight_scale with Some s -> s | None -> 1.0 /. tau prm in
   if scale <= 0.0 then invalid_arg "Sinr_graph.thm13_graph: scale must be positive";
   let n = Link.n sys in
   let pi = ordering sys in
@@ -86,84 +75,6 @@ let thm13_graph ?weight_scale sys prm =
   Weighted.of_function n (fun l l' ->
       if not (Ordering.precedes pi l l') then 0.0
       else thm13_weight sys ~alpha ~scale l l')
-
-let thm13_graph_sparse ?weight_scale ~w_min sys prm =
-  Sinr.validate_params prm;
-  let scale = resolve_scale prm weight_scale in
-  if scale <= 0.0 then
-    invalid_arg "Sinr_graph.thm13_graph_sparse: scale must be positive";
-  if (not (Float.is_finite w_min)) || w_min <= 0.0 then
-    invalid_arg "Sinr_graph.thm13_graph_sparse: w_min must be positive and finite";
-  let n = Link.n sys in
-  let pi = ordering sys in
-  let alpha = prm.Sinr.alpha in
-  match Metric.points (Link.metric sys) with
-  | None ->
-      (* no geometry: evaluate every ordered pair, let the floor drop the
-         tail (the dropped bound is then exact, no w_min slack needed) *)
-      let entries = ref [] in
-      for l = 0 to n - 1 do
-        for l' = 0 to n - 1 do
-          if l <> l' && Ordering.precedes pi l l' then
-            entries := (l, l', thm13_weight sys ~alpha ~scale l l') :: !entries
-        done
-      done;
-      Weighted.of_entries n ~w_min (Array.of_list !entries)
-  | Some pts ->
-      (* w(l, l') >= w_min forces one of the two cross distances below
-         D_l = d_l * (2 scale / w_min)^(1/alpha); the (1 + 1e-9) factor
-         absorbs float rounding so every skipped entry is certified
-         < w_min.  Midpoints of such pairs are within D_l plus half the
-         two link lengths, so a midpoint grid at D_max + maxlen
-         enumerates a superset of the kept entries. *)
-      let len = Array.init n (Link.length sys) in
-      (* len_pow.(l) repeats the dense construction's [Link.length l ** α]
-         expression, so kept entries stay bitwise identical *)
-      let len_pow = Array.map (fun d -> d ** alpha) len in
-      let maxlen = Array.fold_left Float.max 0.0 len in
-      let cut_factor = ((2.0 *. scale /. w_min) ** (1.0 /. alpha)) *. (1.0 +. 1e-9) in
-      let cutoff = Array.map (fun d -> d *. cut_factor) len in
-      let dmax = Array.fold_left Float.max 0.0 cutoff in
-      let mids =
-        Array.init n (fun i ->
-            let l = Link.link sys i in
-            let s = pts.(l.Link.sender) and r = pts.(l.Link.receiver) in
-            Point.make
-              ((s.Point.x +. r.Point.x) /. 2.0)
-              ((s.Point.y +. r.Point.y) /. 2.0))
-      in
-      let sp = Spatial.create mids in
-      let entries = ref [] in
-      let enum_pred = Array.make n 0 in
-      let kept = ref 0 and rejected = ref 0 in
-      (if n > 0 then
-         Spatial.iter_candidate_pairs sp ~r:(dmax +. maxlen) (fun a b ->
-             let l, l' = if Ordering.precedes pi a b then (a, b) else (b, a) in
-             (* cheap reject: midpoints farther than D_l + (len_l+len_l')/2
-                imply both cross distances exceed D_l *)
-             if Spatial.dist sp a b <= cutoff.(l) +. ((len.(l) +. len.(l')) /. 2.0)
-             then begin
-               let d1 = Link.dist_sr sys ~from_sender_of:l ~to_receiver_of:l' in
-               let d2 = Link.dist_sr sys ~from_sender_of:l' ~to_receiver_of:l in
-               if d1 <= cutoff.(l) || d2 <= cutoff.(l) then begin
-                 enum_pred.(l') <- enum_pred.(l') + 1;
-                 incr kept;
-                 let dl = len_pow.(l) in
-                 let term1 = Float.min 1.0 (dl /. (d1 ** alpha)) in
-                 let term2 = Float.min 1.0 (dl /. (d2 ** alpha)) in
-                 entries := (l, l', scale *. (term1 +. term2)) :: !entries
-               end
-               else incr rejected
-             end
-             else incr rejected));
-      (* every non-enumerated predecessor contributes < w_min in-weight *)
-      let dropped_in =
-        Array.init n (fun v ->
-            w_min *. float_of_int (Ordering.rank pi v - enum_pred.(v)))
-      in
-      Tel.add m_kept !kept;
-      Tel.add m_dropped !rejected;
-      Weighted.of_entries n ~w_min ~dropped_in (Array.of_list !entries)
 
 let sinr_iff_independent sys prm ~powers set =
   let wg = prop11_graph sys prm ~powers in

@@ -13,9 +13,7 @@
       independent sets admit a feasible power assignment computed by
       {!Power_control}.  [weight_scale] overrides [1/τ] for the ablation
       study (the paper's τ is a worst-case constant; the experiments probe
-      how far it can be relaxed before power control starts failing).
-      {!thm13_graph_sparse} is the same construction with a weight floor
-      and CSR storage for large instances. *)
+      how far it can be relaxed before power control starts failing). *)
 
 val prop11_graph :
   Link.system -> Sinr.params -> powers:float array -> Sa_graph.Weighted.t
@@ -41,21 +39,6 @@ val thm13_graph :
     [w(ℓ,ℓ') = scale·(min(1, d(ℓ)^α/d(s,r')^α) + min(1, d(ℓ)^α/d(s',r)^α)]
     where [ℓ=(s,r)] precedes [ℓ'=(s',r')] in decreasing-length order and
     [scale] defaults to [1/τ].  Dense n×n storage. *)
-
-val thm13_graph_sparse :
-  ?weight_scale:float -> w_min:float -> Link.system -> Sinr.params ->
-  Sa_graph.Weighted.t
-(** {!thm13_graph} with a positive weight floor [w_min]: entries below the
-    floor are not stored, and every stored entry is bitwise equal to the
-    dense one.  On Euclidean metrics, candidate pairs come from a midpoint
-    grid with per-link cutoff radius
-    [D_ℓ = d(ℓ) · (2·scale / w_min)^(1/α)] (entries with both cross
-    distances beyond [D_ℓ] are certified [< w_min]); elsewhere every
-    ordered pair is evaluated and floored.  Each row [ℓ'] of the result
-    carries [Weighted.dropped_in_bound] ≤ [w_min ·] (number of links
-    preceding [ℓ']) — the feasibility slack for LP (3): a set independent
-    in the sparse graph violates the true incoming-interference constraint
-    at [ℓ'] by less than that bound. *)
 
 val sinr_iff_independent :
   Link.system -> Sinr.params -> powers:float array -> int list -> bool * bool

@@ -10,13 +10,15 @@
    production [Derand] and tiers must return the same bundles with the
    same value bits, and the tiers must leave the PRNG in the same state
    and move [core.rounding.trials]/[core.rounding.improvements] by the
-   same amounts; [test/suite_derand.ml] checks that.  Three departures
+   same amounts; [test/suite_derand.ml] checks that.  Four departures
    from the old text: per-channel instances (never derandomized) are left
    out of [round_with_uniforms]; the uniforms live in a fresh array
-   instead of a [Sa_lp.Workspace] slot; and the reference does not bump
-   the [core.derand.candidates] counter, so a test can watch the
-   production enumeration alone.  [tentative] still borrows Workspace
-   float slot 24, which production no longer uses. *)
+   instead of a [Sa_lp.Workspace] slot; the reference does not bump the
+   [core.derand.candidates] counter, so a test can watch the production
+   enumeration alone; and [tentative] draws its categorical from a fresh
+   exact-length weights array instead of a prefix of Workspace float
+   slot 24, which gives the same draw bitwise ({!Sa_util.Prng.categorical}
+   sums the same entries in the same order). *)
 
 module Bundle = Sa_val.Bundle
 module Ordering = Sa_graph.Ordering
@@ -30,24 +32,17 @@ module Prng = Sa_util.Prng
 
 (* ---- from rounding.ml ---------------------------------------------------- *)
 
-module Ws = Sa_lp.Workspace
-
-let slot_weights = 24
-
 (* Rounding stage shared by all variants: every bidder independently picks
    bundle T with probability x_{v,T} / scale_down, and the empty bundle with
    the remaining probability. *)
 let tentative g ~scale_down per_bidder =
-  let ws = Ws.get () in
   Array.map
     (fun cols ->
       let total = List.fold_left (fun acc (_, x) -> acc +. x) 0.0 cols in
       let p_any = total /. scale_down in
       if p_any > 0.0 && Prng.bernoulli g p_any then begin
-        let len = List.length cols in
-        let weights = Ws.floats ws ~slot:slot_weights len in
-        List.iteri (fun i (_, x) -> weights.(i) <- x) cols;
-        fst (List.nth cols (Prng.categorical ~len g weights))
+        let weights = Array.of_list (List.map snd cols) in
+        fst (List.nth cols (Prng.categorical g weights))
       end
       else Bundle.empty)
     per_bidder

@@ -28,14 +28,16 @@ module Metrics = Sa_telemetry.Metrics
 
 (* ---------- fixtures ---------------------------------------------------- *)
 
-let topologies = [| "disk"; "random-graph"; "sinr"; "random-weighted"; "sparse-weighted" |]
+let topologies =
+  [| "disk"; "random-graph"; "sinr"; "random-weighted"; "asymmetric-weighted" |]
 
 let languages =
   [| "xor"; "or"; "additive"; "unit-demand"; "symmetric"; "budget-additive"; "mixed";
      "ties" |]
 
-(* Sparse weighted graph from random directed entries, some below the floor. *)
-let sparse_weighted g ~n =
+(* Asymmetric weighted graph from random directed entries, some below the
+   floor (left at 0). *)
+let asymmetric_weighted g ~n =
   let entries = ref [] in
   for u = 0 to n - 1 do
     for v = 0 to n - 1 do
@@ -43,7 +45,7 @@ let sparse_weighted g ~n =
         entries := (u, v, Prng.uniform_in g 0.01 0.6) :: !entries
     done
   done;
-  Weighted.of_entries n ~w_min:0.05 (Array.of_list !entries)
+  Weighted_fixture.of_entries ~floor:0.05 n !entries
 
 let weighted_conflict wg =
   let pi = Ordering.of_order (Array.init (Weighted.n wg) Fun.id) in
@@ -84,7 +86,7 @@ let instance_of g ~seed ~topo ~lang ~n ~k =
         (inst.Instance.conflict, inst.Instance.ordering, inst.Instance.rho)
     | "random-weighted" ->
         weighted_conflict (Generators.random_weighted g ~n ~density:0.4 ~scale:0.6)
-    | _ -> weighted_conflict (sparse_weighted g ~n)
+    | _ -> weighted_conflict (asymmetric_weighted g ~n)
   in
   let bidders = Array.init n (fun _ -> bidder g ~k lang) in
   let inst = Instance.make ~conflict ~k ~bidders ~ordering ~rho in
@@ -469,7 +471,7 @@ let tier_instance seed =
       per_channel "per-channel-weighted"
         (Instance.Per_channel_weighted
            (Array.init k (fun j ->
-                if j mod 2 = 0 then sparse_weighted g ~n
+                if j mod 2 = 0 then asymmetric_weighted g ~n
                 else Generators.random_weighted g ~n ~density:0.4 ~scale:0.6)))
 
 let rounding_counters () =

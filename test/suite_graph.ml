@@ -55,7 +55,8 @@ let test_weighted_basic () =
   Weighted.set wg 1 0 0.3;
   Alcotest.(check (float 1e-12)) "w directed" 0.4 (Weighted.w wg 0 1);
   Alcotest.(check (float 1e-12)) "wbar symmetric" 0.7 (Weighted.wbar wg 0 1);
-  Alcotest.(check (float 1e-12)) "wbar other way" 0.7 (Weighted.wbar wg 1 0)
+  Alcotest.(check (float 1e-12)) "wbar other way" 0.7 (Weighted.wbar wg 1 0);
+  Alcotest.(check int) "nnz" 2 (Weighted.nnz wg)
 
 let test_weighted_independence () =
   let wg = Weighted.create 3 in
@@ -74,13 +75,22 @@ let test_weighted_of_graph () =
   Alcotest.(check bool) "same independence (non-edge)" true
     (Weighted.is_independent wg [ 0; 2 ])
 
-let test_weighted_mask_check () =
+let test_weighted_iter_out_copy () =
   let wg = Weighted.create 4 in
-  Weighted.set wg 0 1 1.2;
-  let mask = [| true; true; false; false |] in
-  Alcotest.(check bool) "mask version agrees" false (Weighted.is_independent_arr wg mask);
-  Alcotest.(check bool) "mask version agrees (ok set)" true
-    (Weighted.is_independent_arr wg [| true; false; true; true |])
+  Weighted.set wg 0 3 0.5;
+  Weighted.set wg 0 1 0.25;
+  Weighted.set wg 2 0 0.75;
+  let seen = ref [] in
+  Weighted.iter_out wg 0 (fun v x -> seen := (v, x) :: !seen);
+  Alcotest.(check (list (pair int (float 0.0)))) "positive out-entries, ascending"
+    [ (1, 0.25); (3, 0.5) ] (List.rev !seen);
+  (* interference summing to exactly 1 is not independent: the bound is strict *)
+  Weighted.set wg 1 3 0.5;
+  Alcotest.(check bool) "sum = 1 rejected" false (Weighted.is_independent wg [ 0; 1; 3 ]);
+  let c = Weighted.copy wg in
+  Weighted.set c 1 3 0.0;
+  Alcotest.(check bool) "copy edited alone" true (Weighted.is_independent c [ 0; 1; 3 ]);
+  Alcotest.(check (float 0.0)) "original untouched" 0.5 (Weighted.w wg 1 3)
 
 (* ---------- Ordering ------------------------------------------------------ *)
 
@@ -289,94 +299,6 @@ let prop_greedy_ordering_not_worse_than_random =
       (* greedy is a heuristic: allow slack, but it must not be much worse *)
       r_g <= r_r +. 0.5)
 
-(* ---------- Weighted.Sparse boundary cases -------------------------------- *)
-
-let test_sparse_empty_rows () =
-  (* No entries at all: every row is empty, every dropped bound zero, and
-     everything is trivially independent. *)
-  let wg = Weighted.of_entries 4 ~w_min:0.5 [||] in
-  Alcotest.(check bool) "sparse" true (Weighted.is_sparse wg);
-  Alcotest.(check int) "nnz" 0 (Weighted.nnz wg);
-  for v = 0 to 3 do
-    Alcotest.(check (float 0.0)) "in_weight" 0.0 (Weighted.in_weight wg v);
-    Alcotest.(check (float 0.0)) "dropped bound" 0.0 (Weighted.dropped_in_bound wg v)
-  done;
-  Alcotest.(check bool) "all vertices independent" true
-    (Weighted.is_independent wg [ 0; 1; 2; 3 ])
-
-let test_sparse_floor_boundary () =
-  (* An entry exactly at the w_min floor is kept; one just below is dropped
-     into the destination's bound.  The floor comparison is >=, not >. *)
-  let wmin = 0.25 in
-  let below = 0.25 -. 1e-9 in
-  let wg = Weighted.of_entries 3 ~w_min:wmin [| (0, 2, wmin); (1, 2, below) |] in
-  Alcotest.(check int) "only the exact-floor entry stored" 1 (Weighted.nnz wg);
-  Alcotest.(check (float 0.0)) "exact-floor entry kept" wmin (Weighted.w wg 0 2);
-  Alcotest.(check (float 0.0)) "below-floor entry zeroed" 0.0 (Weighted.w wg 1 2);
-  Alcotest.(check (float 0.0)) "dropped bound = the below-floor mass" below
-    (Weighted.dropped_in_bound wg 2);
-  Alcotest.(check (float 0.0)) "in_weight counts stored mass only" wmin
-    (Weighted.in_weight wg 2)
-
-let test_sparse_all_dropped () =
-  (* Every entry below the floor: the graph stores nothing, but each
-     destination's dropped bound is the exact (same-order) sum of its
-     unstored in-mass — dropped_in_bound is exact, not just an upper
-     bound, when the caller enumerated every entry. *)
-  let entries = [| (0, 2, 0.4); (1, 2, 0.5); (0, 1, 0.3) |] in
-  let wg = Weighted.of_entries 3 ~w_min:1.0 entries in
-  Alcotest.(check int) "nothing stored" 0 (Weighted.nnz wg);
-  Alcotest.(check (float 0.0)) "v2 bound exact" (0.0 +. 0.4 +. 0.5)
-    (Weighted.dropped_in_bound wg 2);
-  Alcotest.(check (float 0.0)) "v1 bound exact" 0.3 (Weighted.dropped_in_bound wg 1);
-  Alcotest.(check (float 0.0)) "v0 nothing dropped" 0.0 (Weighted.dropped_in_bound wg 0);
-  (* zero-weight entries are elided without polluting the bound *)
-  let wg0 = Weighted.of_entries 2 ~w_min:0.0 [| (0, 1, 0.0) |] in
-  Alcotest.(check int) "zero entry elided" 0 (Weighted.nnz wg0);
-  Alcotest.(check (float 0.0)) "zero entry adds no slack" 0.0
-    (Weighted.dropped_in_bound wg0 1)
-
-let test_sparse_dropped_in_seed () =
-  (* Caller-supplied slack for never-enumerated entries adds on top of the
-     below-floor mass. *)
-  let wg =
-    Weighted.of_entries 3 ~w_min:0.5 ~dropped_in:[| 0.0; 0.0; 0.125 |]
-      [| (0, 2, 0.25); (1, 2, 0.75) |]
-  in
-  Alcotest.(check (float 0.0)) "seed + dropped mass" (0.125 +. 0.25)
-    (Weighted.dropped_in_bound wg 2);
-  Alcotest.(check (float 0.0)) "stored mass unaffected" 0.75
-    (Weighted.in_weight wg 2)
-
-let prop_sparse_mass_conserved =
-  QCheck.Test.make ~count:100
-    ~name:"sparse: stored in-weight + dropped bound = total in-mass"
-    QCheck.(int_range 1 1_000_000)
-    (fun seed ->
-      let g = Prng.create ~seed in
-      let n = 2 + Prng.int g 8 in
-      let wmin = Prng.float g 0.6 in
-      let seen = Hashtbl.create 16 in
-      let entries =
-        List.init (Prng.int g (3 * n)) (fun _ ->
-            let u = Prng.int g n and v = Prng.int g n in
-            if u = v || Hashtbl.mem seen (u, v) then None
-            else begin
-              Hashtbl.add seen (u, v) ();
-              Some (u, v, Prng.float g 1.0)
-            end)
-        |> List.filter_map Fun.id |> Array.of_list
-      in
-      let wg = Weighted.of_entries n ~w_min:wmin entries in
-      let total = Array.make n 0.0 in
-      Array.iter (fun (_, v, x) -> total.(v) <- total.(v) +. x) entries;
-      List.for_all
-        (fun v ->
-          Float.abs
-            (Weighted.in_weight wg v +. Weighted.dropped_in_bound wg v -. total.(v))
-          < 1e-9)
-        (List.init n Fun.id))
-
 (* ---------- weighted profit B&B vs its per-node-lookup reference ----------- *)
 
 (* [Indep.max_profit_weighted] as it was before it cached profits and
@@ -445,7 +367,7 @@ let prop_max_profit_weighted_matches_reference =
                   (List.init n Fun.id))
               (List.init n Fun.id)
           in
-          Weighted.of_entries n (Array.of_list entries)
+          Weighted_fixture.of_entries n entries
       in
       let candidates =
         Array.of_list (List.filter (fun _ -> Prng.bernoulli g 0.7) (Array.to_list (Prng.permutation g n)))
@@ -492,9 +414,7 @@ let test_rho_no_backward_candidates () =
   in
   check "empty graph" (Inductive.rho_unweighted (Graph.create 0) (Ordering.identity 0));
   check "no edges" (Inductive.rho_unweighted (Graph.create 5) (Ordering.identity 5));
-  check "zero weights" (Inductive.rho_weighted (Weighted.create 5) (Ordering.identity 5));
-  check "empty sparse"
-    (Inductive.rho_weighted (Weighted.of_entries 4 [||]) (Ordering.identity 4))
+  check "zero weights" (Inductive.rho_weighted (Weighted.create 5) (Ordering.identity 5))
 
 let test_rho_equal_bounds_smallest_witness () =
   (* a perfect matching: vertices 1, 3 and 5 each see one backward
@@ -654,7 +574,7 @@ let random_weighted g n =
             (List.init n Fun.id))
         (List.init n Fun.id)
     in
-    Weighted.of_entries n (Array.of_list entries)
+    Weighted_fixture.of_entries n entries
 
 let node_limits = [| 1; 2; 3; 10; 100; 5_000 |]
 
@@ -836,7 +756,7 @@ let suite =
     Alcotest.test_case "weighted basics" `Quick test_weighted_basic;
     Alcotest.test_case "weighted independence" `Quick test_weighted_independence;
     Alcotest.test_case "weighted of_graph embedding" `Quick test_weighted_of_graph;
-    Alcotest.test_case "weighted mask check" `Quick test_weighted_mask_check;
+    Alcotest.test_case "weighted iter_out and copy" `Quick test_weighted_iter_out_copy;
     Alcotest.test_case "ordering basics" `Quick test_ordering_basic;
     Alcotest.test_case "ordering by key" `Quick test_ordering_by_key;
     Alcotest.test_case "ordering reverse" `Quick test_ordering_reverse;
@@ -862,11 +782,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mis_maximal;
     QCheck_alcotest.to_alcotest prop_rho_witnesses_definition;
     QCheck_alcotest.to_alcotest prop_packed_matches_dense;
-    Alcotest.test_case "sparse: empty rows" `Quick test_sparse_empty_rows;
-    Alcotest.test_case "sparse: w_min floor boundary" `Quick test_sparse_floor_boundary;
-    Alcotest.test_case "sparse: all entries dropped" `Quick test_sparse_all_dropped;
-    Alcotest.test_case "sparse: dropped_in seeding" `Quick test_sparse_dropped_in_seed;
-    QCheck_alcotest.to_alcotest prop_sparse_mass_conserved;
     QCheck_alcotest.to_alcotest prop_max_profit_weighted_matches_reference;
     Alcotest.test_case "pruned rho: no backward candidates" `Quick
       test_rho_no_backward_candidates;

@@ -204,13 +204,6 @@ let random_fixture seed =
   done;
   { n; edges = List.rev !edges; entries = List.rev !entries; a; b; c }
 
-let dense_of n entries =
-  let wg = Weighted.create n in
-  List.iter (fun (u, v, x) -> Weighted.set wg u v x) entries;
-  wg
-
-let sparse_of n entries = Weighted.of_entries n (Array.of_list entries)
-
 let norm (u, v) = (min u v, max u v)
 
 let prop_conflict_key_edits =
@@ -224,7 +217,9 @@ let prop_conflict_key_edits =
         if k1 = k2 then QCheck.Test.fail_reportf "%s: key unchanged (seed %d)" what seed
       in
       let unw edges = key (Instance.Unweighted (Graph.of_edges f.n edges)) in
-      let wtd entries = key (Instance.Edge_weighted (dense_of f.n entries)) in
+      let wtd entries =
+        key (Instance.Edge_weighted (Weighted_fixture.of_entries f.n entries))
+      in
       let base_u = unw f.edges and base_w = wtd f.entries in
       (* one edge / entry removed, one added *)
       let ab = norm (f.a, f.b) and ac = norm (f.a, f.c) in
@@ -264,26 +259,17 @@ let prop_conflict_key_edits =
       differs "shape key, high edge moved" (shape f.edges) (shape (ac :: others));
       true)
 
-let prop_conflict_key_representation =
+let prop_conflict_key_copy =
   QCheck.Test.make
-    ~name:"conflict keys equal for dense vs sparse with the same entries, and copies"
+    ~name:"conflict keys equal for copies"
     ~count:20
     QCheck.(int_range 1 10_000)
     (fun seed ->
       let f = random_fixture seed in
-      let dense = dense_of f.n f.entries and sparse = sparse_of f.n f.entries in
-      let same what c1 c2 =
-        if key c1 <> key c2 then
-          QCheck.Test.fail_reportf "%s: keys differ (seed %d)" what seed
-      in
-      same "dense vs sparse" (Instance.Edge_weighted dense) (Instance.Edge_weighted sparse);
-      same "dense copy" (Instance.Edge_weighted dense)
-        (Instance.Edge_weighted (Weighted.copy dense));
-      same "sparse copy" (Instance.Edge_weighted sparse)
-        (Instance.Edge_weighted (Weighted.copy sparse));
-      same "per-channel dense vs sparse"
-        (Instance.Per_channel_weighted [| dense; sparse_of f.n [] |])
-        (Instance.Per_channel_weighted [| sparse; dense_of f.n [] |]);
+      let wg = Weighted_fixture.of_entries f.n f.entries in
+      let copy = Weighted.copy wg in
+      if key (Instance.Edge_weighted wg) <> key (Instance.Edge_weighted copy) then
+        QCheck.Test.fail_reportf "copy: keys differ (seed %d)" seed;
       true)
 
 (* ---------- registration ------------------------------------------------- *)
@@ -295,5 +281,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_serialize_round_trip;
     QCheck_alcotest.to_alcotest prop_revalue_preserves_shape;
     QCheck_alcotest.to_alcotest prop_conflict_key_edits;
-    QCheck_alcotest.to_alcotest prop_conflict_key_representation;
+    QCheck_alcotest.to_alcotest prop_conflict_key_copy;
   ]

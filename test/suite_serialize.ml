@@ -137,9 +137,9 @@ let test_malformed_rejected () =
   check_fails "bad allocation header" "specauction-allocation 1\nn x\n" ~line:2
     ~parse:(fun s -> ignore (Serialize.allocation_of_string s))
 
-(* The text writer walks each row's stored entries; the reference is the
-   full n² lookup loop it replaced, which must give the same bytes on dense
-   and sparse graphs (the diagonal is always zero). *)
+(* The text writer walks each row's positive entries; the reference is the
+   full n² lookup loop it replaced, which must give the same bytes (the
+   diagonal is always zero). *)
 let reference_weighted_text wg =
   let buf = Buffer.create 4096 in
   let n = Sa_graph.Weighted.n wg in
@@ -169,28 +169,48 @@ let weighted_section text =
   String.concat "" (take [] (drop (String.split_on_char '\n' text)))
 
 let test_weighted_text_pinned () =
-  let dense_inst, sys, prm =
+  let inst, _, _ =
     Workloads.sinr_powercontrol_instance ~seed:17 ~n:40 ~k:2 ~weight_scale:1.0 ()
   in
-  let sparse = Sa_wireless.Sinr_graph.thm13_graph_sparse ~w_min:0.05 sys prm in
-  Alcotest.(check bool) "fixture is sparse" true (Sa_graph.Weighted.is_sparse sparse);
-  let sparse_inst =
-    Instance.make ~conflict:(Instance.Edge_weighted sparse) ~k:dense_inst.Instance.k
-      ~bidders:dense_inst.Instance.bidders ~ordering:dense_inst.Instance.ordering
-      ~rho:dense_inst.Instance.rho
+  let wg =
+    match inst.Instance.conflict with
+    | Instance.Edge_weighted wg -> wg
+    | _ -> Alcotest.fail "not edge-weighted"
   in
-  let check what inst =
-    let wg =
-      match inst.Instance.conflict with
-      | Instance.Edge_weighted wg -> wg
-      | _ -> Alcotest.failf "%s: not edge-weighted" what
-    in
-    let section = weighted_section (Serialize.instance_to_string inst) in
-    Alcotest.(check bool) (what ^ " has entries") true (String.length section > 100);
-    Alcotest.(check string) (what ^ " weights") (reference_weighted_text wg) section
+  let section = weighted_section (Serialize.instance_to_string inst) in
+  Alcotest.(check bool) "has entries" true (String.length section > 100);
+  Alcotest.(check string) "weights" (reference_weighted_text wg) section
+
+(* Golden cache keys: the exact hex digests of the conflict and shape
+   fingerprints of one instance per served conflict family.  Relative key
+   tests (equal / different) cannot see a change to the keyed bytes that
+   moves every key at once; this one does, and such a change would
+   silently cold-start the topology, basis and column-pool caches. *)
+let test_golden_cache_keys () =
+  let check what inst ~conflict ~shape =
+    Alcotest.(check string)
+      (what ^ " conflict key") conflict
+      (Serialize.conflict_fingerprint inst.Instance.conflict);
+    Alcotest.(check string) (what ^ " shape key") shape (Serialize.shape_fingerprint inst)
   in
-  check "dense" dense_inst;
-  check "sparse" sparse_inst
+  check "disk"
+    (Workloads.disk_instance ~seed:5 ~n:30 ~k:3 ())
+    ~conflict:"ba83e8d8ccd21cee42eb4e6bf2cf3bc8"
+    ~shape:"a01586ea1403bc09a2589070e2d10ece";
+  check "protocol"
+    (Workloads.protocol_instance ~seed:6 ~n:30 ~k:3 ())
+    ~conflict:"3881db2cb904bbe6dd43574ca59ee6a0"
+    ~shape:"b9d5a47bdf1d0bf290e76f28f214aaf9";
+  check "sinr prop11"
+    (fst
+       (Workloads.sinr_fixed_instance ~seed:7 ~n:20 ~k:2
+          ~scheme:Sa_wireless.Sinr.Uniform ()))
+    ~conflict:"4f01827e9a7af1dc7b2145df021ca728"
+    ~shape:"034d03cbed2ad06802db7c174da8a6e6";
+  check "per-channel weighted"
+    (fst (Workloads.asymmetric_weighted_instance ~seed:8 ~n:15 ~k:3 ()))
+    ~conflict:"e702e79f2347f951483e20cf0925175b"
+    ~shape:"41e2200489288681f73b5cf825509e51"
 
 let prop_roundtrip_random =
   QCheck.Test.make ~name:"serialize roundtrip (random protocol instances)"
@@ -213,4 +233,5 @@ let suite =
     Alcotest.test_case "malformed inputs rejected" `Quick test_malformed_rejected;
     QCheck_alcotest.to_alcotest prop_roundtrip_random;
     Alcotest.test_case "weighted text pinned to the n^2 loop" `Quick test_weighted_text_pinned;
+    Alcotest.test_case "golden cache keys" `Quick test_golden_cache_keys;
   ]

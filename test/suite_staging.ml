@@ -22,12 +22,12 @@ module Workloads = Sa_exp.Workloads
 (* ---------- fixtures ---------------------------------------------------- *)
 
 let kinds =
-  [| "disk"; "protocol"; "sparse-weighted"; "dense-weighted"; "per-channel";
+  [| "disk"; "protocol"; "asymmetric-weighted"; "dense-weighted"; "per-channel";
      "per-channel-weighted" |]
 
-(* Sparse weighted graph from random directed entries, some below the
-   floor (dropped), so out- and in-rows differ and the merge is exercised. *)
-let sparse_weighted g ~n ~density =
+(* Asymmetric weighted graph from random directed entries, some below the
+   floor (left at 0), so a vertex's row and column differ. *)
+let asymmetric_weighted g ~n ~density =
   let entries = ref [] in
   for u = 0 to n - 1 do
     for v = 0 to n - 1 do
@@ -35,7 +35,7 @@ let sparse_weighted g ~n ~density =
         entries := (u, v, Prng.uniform_in g 0.01 0.6) :: !entries
     done
   done;
-  Weighted.of_entries n ~w_min:0.05 (Array.of_list !entries)
+  Weighted_fixture.of_entries ~floor:0.05 n !entries
 
 let random_ordering g n = Ordering.of_order (Prng.permutation g n)
 
@@ -55,7 +55,7 @@ let random_instance seed =
     match kind with
     | 0 -> Workloads.disk_instance ~seed ~n ~k ~profile:Workloads.Mixed ()
     | 1 -> Workloads.protocol_instance ~seed ~n ~k ~profile:Workloads.Mixed ()
-    | 2 -> make (Instance.Edge_weighted (sparse_weighted g ~n ~density:0.3))
+    | 2 -> make (Instance.Edge_weighted (asymmetric_weighted g ~n ~density:0.3))
     | 3 ->
         make
           (Instance.Edge_weighted
@@ -67,7 +67,7 @@ let random_instance seed =
         make
           (Instance.Per_channel_weighted
              (Array.init k (fun j ->
-                  if j mod 2 = 0 then sparse_weighted g ~n ~density:0.25
+                  if j mod 2 = 0 then asymmetric_weighted g ~n ~density:0.25
                   else Generators.random_weighted g ~n ~density:0.25 ~scale:0.6)))
   in
   let inst =
@@ -128,7 +128,7 @@ let prop_weighted_iter_wbar =
       let g = Prng.create ~seed in
       let n = 2 + Prng.int g 15 in
       let wg =
-        if Prng.bool g then sparse_weighted g ~n ~density:0.3
+        if Prng.bool g then asymmetric_weighted g ~n ~density:0.3
         else Generators.random_weighted g ~n ~density:0.3 ~scale:0.6
       in
       for v = 0 to n - 1 do

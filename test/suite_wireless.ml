@@ -460,40 +460,6 @@ let prop_civilized_grid_equals_naive =
       in
       Civilized.points c = pts && Graph.edges (Civilized.graph c) = Graph.edges naive)
 
-let prop_thm13_sparse_matches_dense =
-  QCheck.Test.make ~name:"thm13 sparse CSR matches dense within dropped bound"
-    ~count:20
-    QCheck.(int_range 1 10_000)
-    (fun seed ->
-      let n = 50 in
-      let sys = random_links ~seed ~n ~side:18.0 in
-      let prm = { Sinr.alpha = 3.0; beta = 1.5; noise = 0.0 } in
-      let dense = Sinr_graph.thm13_graph sys prm in
-      let w_min = 0.05 in
-      let sparse = Sinr_graph.thm13_graph_sparse ~w_min sys prm in
-      let ok = ref true in
-      for v = 0 to n - 1 do
-        for u = 0 to n - 1 do
-          if u <> v then begin
-            let ws = Weighted.w sparse u v and wd = Weighted.w dense u v in
-            (* stored entries are bitwise the dense weights ... *)
-            if ws > 0.0 && ws <> wd then ok := false;
-            (* ... and nothing at or above the floor is ever dropped *)
-            if ws = 0.0 && wd >= w_min then ok := false
-          end
-        done;
-        (* dense and sparse in-weights differ by at most the certified bound *)
-        let dsum = ref 0.0 in
-        for u = 0 to n - 1 do
-          if u <> v then dsum := !dsum +. Weighted.w dense u v
-        done;
-        let gap = !dsum -. Weighted.in_weight sparse v in
-        let bound = Weighted.dropped_in_bound sparse v in
-        if gap < -1e-9 || gap > bound +. 1e-9 then ok := false;
-        if bound > (w_min *. float_of_int n) +. 1e-9 then ok := false
-      done;
-      !ok)
-
 let test_prop11_epsilon_formula () =
   (* pins prop11_epsilon to its definition: eps = beta/2 * min over ordered
      pairs (i, j), j <> i, of (d_i / d(s_j, r_i))^alpha — the grid
@@ -557,5 +523,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_disk_grid_equals_naive;
     QCheck_alcotest.to_alcotest prop_protocol_grid_equals_naive;
     QCheck_alcotest.to_alcotest prop_civilized_grid_equals_naive;
-    QCheck_alcotest.to_alcotest prop_thm13_sparse_matches_dense;
   ]
